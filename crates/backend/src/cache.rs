@@ -3,9 +3,9 @@
 //! The paper compiles per query ("since we generate code, we have
 //! information about factors such as datasizes at compile time", footnote
 //! 1); a serving system re-runs the same queries against the same loaded
-//! data, so recompiling per execution is pure waste. [`PlanCache`] maps
-//! `(backend, touched-table state, program, backend knobs)` to the
-//! prepared plan. Invalidation is **per table**: the key fingerprints the
+//! data, so recompiling per execution is pure waste. The cache maps
+//! `(backend, touched-table state, program, backend knobs)` ([`PlanKey`])
+//! to the prepared plan. Invalidation is **per table**: the key fingerprints the
 //! versions ([`voodoo_storage::Catalog::table_version`]) of exactly the
 //! tables the program loads or persists, so mutating table A never evicts
 //! plans that only read table B. The program key is the full exhaustive
@@ -13,15 +13,14 @@
 //! physical tuning flags (parallelism, predication), so two structurally
 //! identical plans share one entry and collisions are impossible.
 //!
-//! Two cache shapes ship here:
-//!
-//! * [`PlanCache`] — a single-owner, capacity-bounded LRU map. This is
-//!   one shard's worth of state; it needs `&mut self`.
-//! * [`ShardedPlanCache`] — N lock-striped [`PlanCache`] shards behind one
-//!   `&self` API. Statements hash to a shard by key, so concurrent
-//!   sessions contend only when they prepare statements that land on the
-//!   same stripe — and never while *executing* (execution happens outside
-//!   every cache lock).
+//! [`ShardedPlanCache`] is the one public shape: N lock-striped,
+//! capacity-bounded LRU shards behind one `&self` API. Statements hash to
+//! a shard by key, so concurrent sessions contend only when they prepare
+//! statements that land on the same stripe — and never while *executing*
+//! (execution happens outside every cache lock). It has two entry points:
+//! [`ShardedPlanCache::get_or_prepare`] keys by the backend's own name,
+//! [`ShardedPlanCache::lookup`] by a caller-owned identity and also
+//! reports whether the lookup hit.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -33,8 +32,7 @@ use voodoo_storage::Catalog;
 
 use crate::{Backend, PreparedPlan};
 
-/// Default total plan capacity ([`PlanCache::new`] and
-/// [`ShardedPlanCache::new`]).
+/// Default total plan capacity ([`ShardedPlanCache::new`]).
 pub const DEFAULT_PLAN_CAPACITY: usize = 256;
 
 /// Default shard count for [`ShardedPlanCache::new`].
@@ -68,13 +66,9 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
-    /// Build the key for a program on a backend against a catalog state.
-    pub fn new(backend: &dyn Backend, catalog: &Catalog, program: &Program) -> PlanKey {
-        PlanKey::named(backend.name(), backend, catalog, program)
-    }
-
-    /// Build the key under an explicit backend identity instead of the
-    /// backend's self-reported [`Backend::name`].
+    /// Build the key for a program on a backend against a catalog state,
+    /// under an explicit backend identity (callers without a registry of
+    /// their own pass [`Backend::name`]).
     ///
     /// Registries that let callers register *differently configured*
     /// backends of the same type under distinct names (or replace a
@@ -102,7 +96,7 @@ impl PlanKey {
 }
 
 /// Hit/miss/eviction counters (cumulative since construction or
-/// [`PlanCache::clear`]).
+/// [`ShardedPlanCache::clear`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -124,8 +118,9 @@ struct Entry {
     tick: u64,
 }
 
-/// A keyed, capacity-bounded LRU cache of prepared plans (one shard).
-pub struct PlanCache {
+/// A keyed, capacity-bounded LRU cache of prepared plans: one shard's
+/// worth of [`ShardedPlanCache`] state.
+struct PlanCache {
     map: HashMap<PlanKey, Entry>,
     capacity: usize,
     tick: u64,
@@ -134,20 +129,9 @@ pub struct PlanCache {
     evictions: u64,
 }
 
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::with_capacity(DEFAULT_PLAN_CAPACITY)
-    }
-}
-
 impl PlanCache {
-    /// An empty cache holding up to [`DEFAULT_PLAN_CAPACITY`] plans.
-    pub fn new() -> PlanCache {
-        PlanCache::default()
-    }
-
     /// An empty cache bounded to `capacity` plans (minimum 1).
-    pub fn with_capacity(capacity: usize) -> PlanCache {
+    fn with_capacity(capacity: usize) -> PlanCache {
         PlanCache {
             map: HashMap::new(),
             capacity: capacity.max(1),
@@ -158,53 +142,22 @@ impl PlanCache {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Re-bound the cache, evicting least-recently-used plans if it
     /// currently holds more than the new capacity.
-    pub fn set_capacity(&mut self, capacity: usize) {
+    fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity.max(1);
         self.evict_to_capacity();
     }
 
-    /// Fetch the prepared plan for `program` on `backend`, preparing (and
-    /// caching) it on first use.
+    /// Fetch the prepared plan under `key`, preparing (and caching) it on
+    /// first use; the flag reports whether the lookup hit (`true`) or had
+    /// to prepare (`false`).
     ///
     /// Inserting a plan evicts entries for the same `(backend, program,
     /// params)` at other touched-table states: they can never hit again
     /// (table versions are monotonic per catalog), so dropping them
     /// eagerly keeps stale plans from squatting on LRU capacity.
-    pub fn get_or_prepare(
-        &mut self,
-        backend: &dyn Backend,
-        program: &Program,
-        catalog: &Catalog,
-    ) -> Result<Arc<dyn PreparedPlan>> {
-        let key = PlanKey::new(backend, catalog, program);
-        self.get_or_prepare_keyed(key, backend, program, catalog)
-    }
-
-    /// [`Self::get_or_prepare`] with a caller-built key (avoids rendering
-    /// the program text twice on the sharded path, and lets registries key
-    /// by their own backend identity).
-    pub fn get_or_prepare_keyed(
-        &mut self,
-        key: PlanKey,
-        backend: &dyn Backend,
-        program: &Program,
-        catalog: &Catalog,
-    ) -> Result<Arc<dyn PreparedPlan>> {
-        self.get_or_prepare_keyed_traced(key, backend, program, catalog)
-            .map(|(plan, _)| plan)
-    }
-
-    /// [`Self::get_or_prepare_keyed`], additionally reporting whether the
-    /// lookup hit (`true`) or had to prepare (`false`) — for callers that
-    /// attribute cache traffic to a session or tenant.
-    pub fn get_or_prepare_keyed_traced(
+    fn get_or_prepare(
         &mut self,
         key: PlanKey,
         backend: &dyn Backend,
@@ -255,7 +208,7 @@ impl PlanCache {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
@@ -267,13 +220,13 @@ impl PlanCache {
 
     /// Drop every entry while preserving the cumulative counters; the
     /// dropped entries are counted as evictions.
-    pub fn evict_all(&mut self) {
+    fn evict_all(&mut self) {
         self.evictions += self.map.len() as u64;
         self.map.clear();
     }
 
     /// Drop every entry and reset the counters (capacity is kept).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.map.clear();
         self.tick = 0;
         self.hits = 0;
@@ -282,7 +235,7 @@ impl PlanCache {
     }
 }
 
-/// A thread-safe prepared-plan cache: N lock-striped [`PlanCache`] shards.
+/// A thread-safe prepared-plan cache: N lock-striped LRU shards.
 ///
 /// Keys hash to one shard, so concurrent statement preparation contends
 /// per-stripe instead of on one global lock. The shard mutex *is* held
@@ -329,7 +282,7 @@ impl ShardedPlanCache {
     pub fn capacity(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| Self::lock_shard(s).capacity())
+            .map(|s| Self::lock_shard(s).capacity)
             .sum()
     }
 
@@ -363,34 +316,24 @@ impl ShardedPlanCache {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// Fetch (or prepare and cache) the plan for `program` on `backend`.
+    /// Fetch (or prepare and cache) the plan for `program` on `backend`,
+    /// keyed by the backend's self-reported [`Backend::name`].
     pub fn get_or_prepare(
         &self,
         backend: &dyn Backend,
         program: &Program,
         catalog: &Catalog,
     ) -> Result<Arc<dyn PreparedPlan>> {
-        self.get_or_prepare_named(backend.name(), backend, program, catalog)
-    }
-
-    /// [`Self::get_or_prepare`] keyed by an explicit backend identity
-    /// (see [`PlanKey::named`]) rather than `backend.name()`.
-    pub fn get_or_prepare_named(
-        &self,
-        identity: &str,
-        backend: &dyn Backend,
-        program: &Program,
-        catalog: &Catalog,
-    ) -> Result<Arc<dyn PreparedPlan>> {
-        self.get_or_prepare_named_traced(identity, backend, program, catalog)
+        self.lookup(backend.name(), backend, program, catalog)
             .map(|(plan, _)| plan)
     }
 
-    /// [`Self::get_or_prepare_named`], additionally reporting whether the
-    /// lookup hit (`true`) or prepared (`false`). Serving layers use this
-    /// to attribute cache traffic per session without re-reading (racy)
-    /// global counters.
-    pub fn get_or_prepare_named_traced(
+    /// [`Self::get_or_prepare`] keyed by an explicit backend identity
+    /// (see [`PlanKey::named`]), additionally reporting whether the
+    /// lookup hit (`true`) or prepared (`false`). Serving layers use the
+    /// flag to attribute cache traffic per statement without re-reading
+    /// (racy) global counters.
+    pub fn lookup(
         &self,
         identity: &str,
         backend: &dyn Backend,
@@ -398,8 +341,7 @@ impl ShardedPlanCache {
         catalog: &Catalog,
     ) -> Result<(Arc<dyn PreparedPlan>, bool)> {
         let key = PlanKey::named(identity, backend, catalog, program);
-        Self::lock_shard(self.shard_for(&key))
-            .get_or_prepare_keyed_traced(key, backend, program, catalog)
+        Self::lock_shard(self.shard_for(&key)).get_or_prepare(key, backend, program, catalog)
     }
 
     /// Counters summed over every shard.
@@ -465,7 +407,7 @@ mod tests {
     fn second_lookup_hits() {
         let (cat, p) = fixture();
         let backend = CpuBackend::single_threaded();
-        let mut cache = PlanCache::new();
+        let cache = ShardedPlanCache::new();
         let a = cache.get_or_prepare(&backend, &p, &cat).unwrap();
         let b = cache.get_or_prepare(&backend, &p, &cat).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "same prepared plan instance");
@@ -505,8 +447,8 @@ mod tests {
             p
         };
         let backend = InterpBackend::new();
-        let mut cache = PlanCache::new();
-        let sum = |cache: &mut PlanCache, col: &str| {
+        let cache = ShardedPlanCache::new();
+        let sum = |cache: &ShardedPlanCache, col: &str| {
             cache
                 .get_or_prepare(&backend, &prog_for(col), &cat)
                 .unwrap()
@@ -517,8 +459,8 @@ mod tests {
                 .map(|v| v.as_i64())
                 .unwrap()
         };
-        assert_eq!(sum(&mut cache, "a"), 3);
-        assert_eq!(sum(&mut cache, "b"), 30, "must not serve the 'a' plan");
+        assert_eq!(sum(&cache, "a"), 3);
+        assert_eq!(sum(&cache, "b"), 30, "must not serve the 'a' plan");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
     }
@@ -537,7 +479,7 @@ mod tests {
         let mut labeled = plain.clone();
         labeled.label(t, "debugName");
         let backend = InterpBackend::new();
-        let mut cache = PlanCache::new();
+        let cache = ShardedPlanCache::new();
         let a = cache.get_or_prepare(&backend, &plain, &cat).unwrap();
         let b = cache.get_or_prepare(&backend, &labeled, &cat).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "labels must not change the key");
@@ -550,7 +492,7 @@ mod tests {
         let (cat, p) = fixture();
         let cpu = CpuBackend::single_threaded();
         let interp = InterpBackend::new();
-        let mut cache = PlanCache::new();
+        let cache = ShardedPlanCache::new();
         cache.get_or_prepare(&cpu, &p, &cat).unwrap();
         cache.get_or_prepare(&interp, &p, &cat).unwrap();
         assert_eq!(cache.stats().misses, 2);
@@ -561,7 +503,7 @@ mod tests {
     fn catalog_mutation_invalidates() {
         let (mut cat, p) = fixture();
         let backend = CpuBackend::single_threaded();
-        let mut cache = PlanCache::new();
+        let cache = ShardedPlanCache::new();
         cache.get_or_prepare(&backend, &p, &cat).unwrap();
         // Replacing the table changes the version — the old plan is stale.
         cat.put_i64_column("t", &[10, 20, 30, 40, 50]);
@@ -585,7 +527,7 @@ mod tests {
         // so mutating any other table must not cost it its cached plan.
         let (mut cat, p) = fixture();
         let backend = CpuBackend::single_threaded();
-        let mut cache = PlanCache::new();
+        let cache = ShardedPlanCache::new();
         cache.get_or_prepare(&backend, &p, &cat).unwrap();
         cat.put_i64_column("other", &[1, 2, 3]);
         cache.get_or_prepare(&backend, &p, &cat).unwrap();
@@ -610,7 +552,7 @@ mod tests {
         let (cat, p) = fixture();
         let serial = CpuBackend::single_threaded();
         let parallel = CpuBackend::with_threads(4);
-        let mut cache = PlanCache::new();
+        let cache = ShardedPlanCache::new();
         let a = cache.get_or_prepare(&serial, &p, &cat).unwrap();
         let b = cache.get_or_prepare(&parallel, &p, &cat).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "knobs are part of the key");
@@ -622,7 +564,7 @@ mod tests {
     fn capacity_bounds_entries_with_lru_eviction() {
         let (cat, _) = fixture();
         let backend = CpuBackend::single_threaded();
-        let mut cache = PlanCache::with_capacity(3);
+        let cache = ShardedPlanCache::with_shards(1, 3);
         for i in 0..5 {
             cache
                 .get_or_prepare(&backend, &distinct_program(i), &cat)
@@ -650,7 +592,7 @@ mod tests {
     fn lru_favors_recently_used_plans() {
         let (cat, _) = fixture();
         let backend = CpuBackend::single_threaded();
-        let mut cache = PlanCache::with_capacity(2);
+        let cache = ShardedPlanCache::with_shards(1, 2);
         cache
             .get_or_prepare(&backend, &distinct_program(0), &cat)
             .unwrap();
@@ -675,7 +617,7 @@ mod tests {
     fn shrinking_capacity_evicts_immediately() {
         let (cat, _) = fixture();
         let backend = CpuBackend::single_threaded();
-        let mut cache = PlanCache::with_capacity(8);
+        let cache = ShardedPlanCache::with_shards(1, 8);
         for i in 0..4 {
             cache
                 .get_or_prepare(&backend, &distinct_program(i), &cat)
@@ -691,7 +633,7 @@ mod tests {
     fn clear_resets_everything() {
         let (cat, p) = fixture();
         let backend = CpuBackend::single_threaded();
-        let mut cache = PlanCache::new();
+        let cache = ShardedPlanCache::new();
         cache.get_or_prepare(&backend, &p, &cat).unwrap();
         cache.clear();
         let s = cache.stats();
@@ -731,19 +673,14 @@ mod tests {
         let single = CpuBackend::single_threaded();
         let multi = CpuBackend::with_threads(4);
         let cache = ShardedPlanCache::new();
-        let a = cache
-            .get_or_prepare_named("cpu#0", &single, &p, &cat)
-            .unwrap();
-        let b = cache
-            .get_or_prepare_named("cpu-mt#1", &multi, &p, &cat)
-            .unwrap();
+        let (a, _) = cache.lookup("cpu#0", &single, &p, &cat).unwrap();
+        let (b, _) = cache.lookup("cpu-mt#1", &multi, &p, &cat).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "no false sharing across identities");
         let s = cache.stats();
         assert_eq!((s.misses, s.entries), (2, 2));
-        // Same identity still hits.
-        cache
-            .get_or_prepare_named("cpu#0", &single, &p, &cat)
-            .unwrap();
+        // Same identity still hits — and says so.
+        let (_, hit) = cache.lookup("cpu#0", &single, &p, &cat).unwrap();
+        assert!(hit);
         assert_eq!(cache.stats().hits, 1);
     }
 

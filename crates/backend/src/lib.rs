@@ -25,11 +25,11 @@
 //! future backend (a real GPU, a sharded executor, an async pipeline)
 //! plugs into.
 //!
-//! [`PlanCache`] adds the compile-once-run-many piece: a keyed,
-//! LRU-bounded cache of prepared plans, invalidated by catalog version,
-//! with hit/miss/eviction counters. [`ShardedPlanCache`] is its
-//! thread-safe form — N lock-striped shards — which is what the
-//! relational `Engine` mounts to serve many sessions concurrently.
+//! [`ShardedPlanCache`] adds the compile-once-run-many piece: a keyed,
+//! LRU-bounded, thread-safe cache of prepared plans — N lock-striped
+//! shards, invalidated per touched table, with hit/miss/eviction
+//! counters — which is what the relational `Engine` mounts to serve many
+//! sessions concurrently.
 
 pub mod cache;
 
@@ -47,9 +47,7 @@ use voodoo_interp::Interpreter;
 pub use voodoo_interp::ExecOutput;
 use voodoo_storage::Catalog;
 
-pub use cache::{
-    CacheStats, PlanCache, PlanKey, ShardedPlanCache, DEFAULT_PLAN_CAPACITY, DEFAULT_SHARDS,
-};
+pub use cache::{CacheStats, PlanKey, ShardedPlanCache, DEFAULT_PLAN_CAPACITY, DEFAULT_SHARDS};
 pub use voodoo_compile::exec::Parallelism;
 
 /// A profiled execution: results plus the architectural trace, and — for
@@ -81,7 +79,7 @@ impl PlanProfile {
 /// (schemas, table sizes) but read data at execution time, so one plan can
 /// run against any catalog of the same shape — e.g. Q20's staged
 /// intermediate catalogs. Callers that mutate shapes should re-prepare;
-/// [`PlanCache`] automates that via [`Catalog::version`].
+/// [`ShardedPlanCache`] automates that via per-table versions.
 pub trait PreparedPlan: Send + Sync {
     /// Name of the backend that prepared this plan.
     fn backend_name(&self) -> &str;

@@ -70,12 +70,7 @@ proptest! {
                 0..=5 => {
                     let identity = format!("b{ident_idx}#{}", epochs[ident_idx]);
                     let plan = cache
-                        .get_or_prepare_named_traced(
-                            &identity,
-                            &backend,
-                            &programs[prog_idx],
-                            &cat,
-                        )
+                        .lookup(&identity, &backend, &programs[prog_idx], &cat)
                         .map_err(|e| format!("prepare failed: {e}"))?
                         .0;
                     lookups += 1;

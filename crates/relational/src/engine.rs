@@ -12,36 +12,42 @@
 //!
 //! * Readers: [`Engine::snapshot`] — an `Arc` bump under a briefly-held
 //!   read lock.
-//! * Writers: [`Engine::mutate_catalog`] / [`Engine::catalog_mut`] —
-//!   clone the (Arc-shared, O(#tables)) catalog, mutate the copy, publish
-//!   it. The existing version counter bumps on mutation, which is what
-//!   invalidates cached plans.
+//! * Writers: [`Engine::mutate_catalog`] — clone the (Arc-shared,
+//!   O(#tables)) catalog, mutate the copy, publish it. The existing
+//!   version counter bumps on mutation, which is what invalidates cached
+//!   plans.
+//! * Statements: every execution — a [`crate::Statement`] call, a batch
+//!   slot, a serve worker, a view build or read — runs inside the one
+//!   execution scope, `Engine::scoped`, and is driven by
+//!   [`crate::statement`].
 //! * Batches: [`Engine::run_batch`] fans a slice of [`StatementSpec`]s
-//!   across a scoped thread pool.
+//!   across a transient admission queue.
 //!
-//! The free functions at the bottom ([`run_query_on`] and the deprecated
-//! per-backend shims) predate the engine and survive for callers that
-//! hold a bare [`Backend`] and a `&Catalog`.
+//! [`run_query_on`] at the bottom predates the engine and survives for
+//! callers that hold a bare [`Backend`] and a `&Catalog`.
 
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use voodoo_backend::{
-    Backend, CacheStats, CpuBackend, InterpBackend, Parallelism, ShardedPlanCache, SimGpuBackend,
+    Backend, CacheStats, CpuBackend, InterpBackend, Parallelism, PreparedPlan, ShardedPlanCache,
+    SimGpuBackend,
 };
 use voodoo_compile::exec::StatementTrace;
 use voodoo_compile::MorselPool;
-use voodoo_core::{Diagnostic, Pass, Program, Result, VoodooError};
-use voodoo_interp::ExecOutput;
+use voodoo_core::{Program, Result, VoodooError};
 use voodoo_ivm::{MaintainedView, Refresh, RefreshKind, ViewDef};
 use voodoo_storage::{Catalog, CatalogSnapshot};
 use voodoo_tpch::queries::{Query, QueryResult};
 
 use crate::queries;
-use crate::session::{backends, StatementOutput};
+use crate::session::backends;
 use crate::sql;
+use crate::statement::{StatementOutput, StatementSpec};
 
 // ---------------------------------------------------------------------
 // Metrics
@@ -283,31 +289,6 @@ impl Metrics {
 }
 
 // ---------------------------------------------------------------------
-// Per-session cache attribution
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// When serving through [`crate::ServerHandle`], the worker thread
-    /// opens a trace around each execution so plan-cache hits/misses can
-    /// be attributed to the submitting serve-session. `None` outside a
-    /// traced execution.
-    static CACHE_TRACE: std::cell::Cell<Option<(u64, u64)>> =
-        const { std::cell::Cell::new(None) };
-}
-
-fn cache_trace_note(hit: bool) {
-    CACHE_TRACE.with(|t| {
-        if let Some((hits, misses)) = t.get() {
-            t.set(Some(if hit {
-                (hits + 1, misses)
-            } else {
-                (hits, misses + 1)
-            }));
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------
 
@@ -327,7 +308,7 @@ struct Registration {
 /// plans, and (b) replacing a backend starts a fresh epoch, so plans a
 /// racing statement prepared through the replaced backend can never be
 /// served on behalf of the new one.
-pub(crate) struct ResolvedBackend {
+struct ResolvedBackend {
     backend: Arc<dyn Backend>,
     cache_identity: String,
 }
@@ -344,6 +325,104 @@ struct Shared {
     /// The persistent morsel pool this engine's statements execute on
     /// (installed around every execution; see [`Engine::morsel_pool`]).
     pool: MorselPool,
+}
+
+impl Shared {
+    fn backend(&self, name: &str) -> Result<ResolvedBackend> {
+        self.registry
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| ResolvedBackend {
+                backend: Arc::clone(&r.backend),
+                cache_identity: format!("{}#{}", r.name, r.epoch),
+            })
+            .ok_or_else(|| {
+                VoodooError::Backend(format!(
+                    "unknown backend {name:?} (registered: {})",
+                    self.registry
+                        .iter()
+                        .map(|r| r.name.as_str())
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                ))
+            })
+    }
+}
+
+/// One statement's view of the engine, resolved once at statement start
+/// by [`Engine::scoped`]: the backend, the pinned catalog snapshot, and
+/// the statement's own plan-cache traffic.
+pub(crate) struct ExecCtx<'e> {
+    engine: &'e Engine,
+    backend: ResolvedBackend,
+    snapshot: CatalogSnapshot,
+    cache_hits: Cell<u64>,
+    cache_misses: Cell<u64>,
+}
+
+impl<'e> ExecCtx<'e> {
+    pub(crate) fn engine(&self) -> &'e Engine {
+        self.engine
+    }
+
+    /// The catalog snapshot this statement executes against.
+    pub(crate) fn catalog(&self) -> &Catalog {
+        &self.snapshot
+    }
+
+    /// The prepared plan for one program of the statement, through the
+    /// engine's plan cache; the hit or miss is attributed to the
+    /// statement.
+    pub(crate) fn plan(
+        &self,
+        program: &Program,
+        catalog: &Catalog,
+    ) -> Result<Arc<dyn PreparedPlan>> {
+        let (plan, hit) = self.engine.cache.lookup(
+            &self.backend.cache_identity,
+            &*self.backend.backend,
+            program,
+            catalog,
+        )?;
+        let counter = if hit {
+            &self.cache_hits
+        } else {
+            &self.cache_misses
+        };
+        counter.set(counter.get() + 1);
+        Ok(plan)
+    }
+}
+
+pub(crate) fn unknown_view(name: &str) -> VoodooError {
+    VoodooError::Backend(format!("unknown view {name:?}"))
+}
+
+/// What one trip through [`Engine::scoped`] produced.
+pub(crate) struct Executed<T> {
+    /// The body's result; the outer `Err` carries the payload of a panic
+    /// that unwound out of it (already recorded as a failure).
+    pub(crate) outcome: std::thread::Result<Result<T>>,
+    /// Plan-cache hits this statement was served.
+    pub(crate) cache_hits: u64,
+    /// Plans this statement had to prepare.
+    pub(crate) cache_misses: u64,
+}
+
+impl<T> Executed<T> {
+    /// The result, for callers with no panic boundary of their own: a
+    /// caught panic continues unwinding.
+    pub(crate) fn into_result(self) -> Result<T> {
+        self.outcome.unwrap_or_else(|panic| resume_unwind(panic))
+    }
+
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> Executed<U> {
+        Executed {
+            outcome: self.outcome.map(|result| result.map(f)),
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+        }
+    }
 }
 
 /// The shared execution core: catalog snapshots + backend registry +
@@ -433,10 +512,10 @@ impl Engine {
 
     /// The persistent work-stealing pool this engine's statements
     /// execute their morsels on. Installed ([`voodoo_compile::pool::
-    /// enter`]) around every statement execution, so serve workers and
-    /// session threads all lease slots from the same workers instead of
-    /// spawning per-unit threads. Defaults to the process-wide
-    /// [`MorselPool::global`].
+    /// enter`]) around every statement execution — view builds and reads
+    /// included — so serve workers and session threads all lease slots
+    /// from the same workers instead of spawning per-unit threads.
+    /// Defaults to the process-wide [`MorselPool::global`].
     pub fn morsel_pool(&self) -> MorselPool {
         self.state_read().pool.clone()
     }
@@ -495,20 +574,6 @@ impl Engine {
         self.mutate_catalog(|c| c.append_rows(table, rows))
     }
 
-    /// A write guard over the catalog: deref-mutate it like a `&mut
-    /// Catalog`; the new snapshot is published when the guard drops.
-    ///
-    /// Writers serialize on the guard (it holds the engine's write lock),
-    /// but readers already holding a snapshot are never blocked.
-    pub fn catalog_mut(&self) -> CatalogWrite<'_> {
-        let shared = self.state_write();
-        let working = (*shared.catalog).clone();
-        CatalogWrite {
-            shared,
-            working: Some(working),
-        }
-    }
-
     // -- backends -----------------------------------------------------
 
     /// Register (or replace) a backend under a name.
@@ -556,8 +621,9 @@ impl Engine {
 
     /// Set the default backend for [`crate::Statement::run`].
     pub fn set_default_backend(&self, name: &str) -> Result<()> {
-        self.backend_arc(name)?;
-        self.state_write().default_backend = name.to_string();
+        let mut shared = self.state_write();
+        shared.backend(name)?;
+        shared.default_backend = name.to_string();
         Ok(())
     }
 
@@ -572,7 +638,7 @@ impl Engine {
     /// the same name — the fresh epoch keeps wrapped and unwrapped plans
     /// apart in the cache.
     pub fn backend(&self, name: &str) -> Option<Arc<dyn Backend>> {
-        self.backend_arc(name).ok().map(|r| r.backend)
+        self.state_read().backend(name).ok().map(|r| r.backend)
     }
 
     /// Registered backend names, in registration order.
@@ -584,27 +650,65 @@ impl Engine {
             .collect()
     }
 
-    pub(crate) fn backend_arc(&self, name: &str) -> Result<ResolvedBackend> {
-        let shared = self.state_read();
-        shared
-            .registry
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| ResolvedBackend {
-                backend: Arc::clone(&r.backend),
-                cache_identity: format!("{}#{}", r.name, r.epoch),
-            })
-            .ok_or_else(|| {
-                VoodooError::Backend(format!(
-                    "unknown backend {name:?} (registered: {})",
-                    shared
-                        .registry
-                        .iter()
-                        .map(|r| r.name.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            })
+    // -- execution scope ----------------------------------------------
+
+    /// The one execution scope: everything that executes programs on
+    /// this engine — statements from any front door, view builds, view
+    /// reads — runs `body` in here.
+    ///
+    /// The scope resolves the backend (`backend`, else the default), the
+    /// catalog snapshot (`pinned`, else the current one) and the morsel
+    /// pool under a single read lock, held only for the resolution;
+    /// installs the pool and the scheduling trace around `body`; and
+    /// makes exactly one metrics recording per call, whether `body`
+    /// returned, failed before it started (an unknown backend), or
+    /// panicked. The statement's plan-cache hits and misses come back
+    /// with the outcome, so attribution needs no side channel.
+    ///
+    /// `served` says whether the call is a served statement — counted in
+    /// `queries_served`/`failures`, the latency reservoir and the
+    /// per-statement fan-out. View builds and dry walks (explain, verify)
+    /// are not: they only add the pool work they caused to
+    /// `pool_tasks`/`steals`.
+    pub(crate) fn scoped<T>(
+        &self,
+        backend: Option<&str>,
+        pinned: Option<&CatalogSnapshot>,
+        served: bool,
+        body: impl FnOnce(&ExecCtx<'_>) -> Result<T>,
+    ) -> Executed<T> {
+        let started = Instant::now();
+        let (backend, snapshot, pool) = {
+            let shared = self.state_read();
+            (
+                shared.backend(backend.unwrap_or(&shared.default_backend)),
+                pinned.unwrap_or(&shared.catalog).clone(),
+                shared.pool.clone(),
+            )
+        };
+        let _pool = voodoo_compile::pool::enter(pool);
+        voodoo_compile::exec::statement_trace_begin();
+        let ctx = backend.map(|backend| ExecCtx {
+            engine: self,
+            backend,
+            snapshot,
+            cache_hits: Cell::new(0),
+            cache_misses: Cell::new(0),
+        });
+        let outcome = match &ctx {
+            Ok(ctx) => catch_unwind(AssertUnwindSafe(|| body(ctx))),
+            Err(e) => Ok(Err(e.clone())),
+        };
+        let trace = voodoo_compile::exec::statement_trace_end();
+        let served = served.then_some((started, matches!(outcome, Ok(Ok(_)))));
+        self.record_execution(served, trace);
+        let (cache_hits, cache_misses) =
+            ctx.map_or((0, 0), |ctx| (ctx.cache_hits.get(), ctx.cache_misses.get()));
+        Executed {
+            outcome,
+            cache_hits,
+            cache_misses,
+        }
     }
 
     // -- plan cache ---------------------------------------------------
@@ -624,22 +728,6 @@ impl Engine {
     /// least-recently-used plans if it currently holds more.
     pub fn set_cache_capacity(&self, plans: usize) {
         self.cache.set_capacity(plans);
-    }
-
-    pub(crate) fn plan_for(
-        &self,
-        backend: &ResolvedBackend,
-        program: &Program,
-        catalog: &Catalog,
-    ) -> Result<Arc<dyn voodoo_backend::PreparedPlan>> {
-        let (plan, hit) = self.cache.get_or_prepare_named_traced(
-            &backend.cache_identity,
-            &*backend.backend,
-            program,
-            catalog,
-        )?;
-        cache_trace_note(hit);
-        Ok(plan)
     }
 
     // -- metrics ------------------------------------------------------
@@ -692,15 +780,20 @@ impl Engine {
         }
     }
 
-    /// Record one statement execution: latency, outcome, and the
-    /// scheduling trace its execution left behind (morsel fan-out, pool
-    /// tasks, steals; the default trace = fully serial).
-    pub(crate) fn record_execution_traced(
-        &self,
-        started: Instant,
-        ok: bool,
-        trace: StatementTrace,
-    ) {
+    /// Record one trip through the execution scope: the pool work its
+    /// scheduling trace shows (tasks, steals) and — for a served
+    /// statement, `(started, ok)` — latency, outcome and morsel fan-out
+    /// (the default trace = fully serial).
+    fn record_execution(&self, served: Option<(Instant, bool)>, trace: StatementTrace) {
+        self.metrics
+            .pool_tasks
+            .fetch_add(trace.pool_tasks, Ordering::Relaxed);
+        self.metrics
+            .steals
+            .fetch_add(trace.steals, Ordering::Relaxed);
+        let Some((started, ok)) = served else {
+            return;
+        };
         self.metrics.queries.fetch_add(1, Ordering::Relaxed);
         if !ok {
             self.metrics.failures.fetch_add(1, Ordering::Relaxed);
@@ -715,20 +808,10 @@ impl Engine {
                 .fetch_add(1, Ordering::Relaxed);
         }
         self.metrics
-            .pool_tasks
-            .fetch_add(trace.pool_tasks, Ordering::Relaxed);
-        self.metrics
-            .steals
-            .fetch_add(trace.steals, Ordering::Relaxed);
-        self.metrics
             .reservoir
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .record(started.elapsed().as_secs_f64());
-    }
-
-    pub(crate) fn record_execution(&self, started: Instant, ok: bool) {
-        self.record_execution_traced(started, ok, StatementTrace::default());
     }
 
     pub(crate) fn record_shed(&self) {
@@ -784,17 +867,6 @@ impl Engine {
         }
     }
 
-    /// Start attributing plan-cache hits/misses on this thread (serve
-    /// workers bracket each execution with begin/end).
-    pub(crate) fn cache_trace_begin(&self) {
-        CACHE_TRACE.with(|t| t.set(Some((0, 0))));
-    }
-
-    /// Stop attributing and return `(hits, misses)` seen since begin.
-    pub(crate) fn cache_trace_end(&self) -> (u64, u64) {
-        CACHE_TRACE.with(|t| t.take()).unwrap_or((0, 0))
-    }
-
     // -- materialized views -------------------------------------------
 
     /// Register a materialized view over a SQL statement (the same subset
@@ -812,15 +884,20 @@ impl Engine {
     /// Register a materialized view from an explicit [`ViewDef`] — the
     /// route to join views, which the SQL subset cannot express.
     pub fn create_view_def(&self, name: &str, def: ViewDef) -> Result<()> {
-        let slot = Arc::new(Mutex::new(MaintainedView::new(def)?));
+        let slot = Mutex::new(MaintainedView::new(def)?);
         // Build before publishing: a failed initial materialization
         // (unknown table) leaves no half-registered view behind, and a
-        // racing reader can never observe an unbuilt one.
-        self.refresh_view_slot(&slot, &self.default_backend())?;
+        // racing reader can never observe an unbuilt one. The build runs
+        // in the execution scope (the engine's pool, traced) but is not a
+        // served statement.
+        self.scoped(None, None, false, |ctx| {
+            self.refresh_view_slot(&slot, &mut |p, c| ctx.plan(p, c)?.execute(c))
+        })
+        .into_result()?;
         self.views
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(name.to_string(), slot);
+            .insert(name.to_string(), Arc::new(slot));
         Ok(())
     }
 
@@ -864,47 +941,50 @@ impl Engine {
     /// ([`EngineMetrics::view_hits`] / `delta_refreshes` /
     /// `full_recomputes`).
     pub fn read_view(&self, name: &str) -> Result<QueryResult> {
-        self.read_view_on(name, &self.default_backend())
+        self.run_spec(&StatementSpec::view(name))
+            .into_result()
+            .map(StatementOutput::into_rows)
     }
 
     /// [`Engine::read_view`] with the refresh's stage programs executed
     /// on a named backend.
     pub fn read_view_on(&self, name: &str, backend: &str) -> Result<QueryResult> {
-        let started = Instant::now();
-        let result = self.view_rows_on(name, backend);
-        self.record_execution(started, result.is_ok());
-        result
+        self.run_spec(&StatementSpec::view(name).on(backend))
+            .into_result()
+            .map(StatementOutput::into_rows)
     }
 
-    /// Look up + refresh + render, without serving-metrics accounting
-    /// (callers wrap it: `read_view_on` directly, `run_spec` through the
-    /// admission queue).
-    fn view_rows_on(&self, name: &str, backend: &str) -> Result<QueryResult> {
+    /// Look up + refresh + render a registered view, executing whatever
+    /// stage programs the refresh needs through `exec` (the statement
+    /// driver's per-program callback).
+    pub(crate) fn refresh_view(
+        &self,
+        name: &str,
+        exec: &mut queries::Exec<'_>,
+    ) -> Result<QueryResult> {
         let slot = self
             .views
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get(name)
             .cloned()
-            .ok_or_else(|| VoodooError::Backend(format!("unknown view {name:?}")))?;
-        self.refresh_view_slot(&slot, backend)
+            .ok_or_else(|| unknown_view(name))?;
+        self.refresh_view_slot(&slot, exec)
     }
 
-    /// Refresh one view against the current catalog snapshot, executing
-    /// its (differentiated) stage programs through the prepared-plan
-    /// cache on the given backend. The slot lock serializes concurrent
-    /// refreshes; the snapshot is pinned before the state is read, so a
-    /// writer publishing mid-refresh is simply picked up by the next read.
+    /// Refresh one view against the current catalog snapshot. The slot
+    /// lock serializes concurrent refreshes, and the snapshot is pinned
+    /// *under* it (never the statement's own, possibly older, pin): a
+    /// view's versions only move forward, and a writer publishing
+    /// mid-refresh is simply picked up by the next read.
     fn refresh_view_slot(
         &self,
-        slot: &Arc<Mutex<MaintainedView>>,
-        backend: &str,
+        slot: &Mutex<MaintainedView>,
+        exec: &mut queries::Exec<'_>,
     ) -> Result<QueryResult> {
-        let resolved = self.backend_arc(backend)?;
         let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
         let snapshot = self.snapshot();
-        let mut exec = |p: &Program, c: &Catalog| self.plan_for(&resolved, p, c)?.execute(c);
-        let refresh = guard.refresh(&snapshot, &mut exec)?;
+        let refresh = guard.refresh(&snapshot, exec)?;
         self.record_view_refresh(&refresh);
         Ok(QueryResult::new(guard.rows().to_vec()))
     }
@@ -963,226 +1043,10 @@ impl Engine {
         server.shutdown();
         results
     }
-
-    pub(crate) fn run_spec(self: &Arc<Self>, spec: &StatementSpec) -> Result<StatementOutput> {
-        let started = Instant::now();
-        let stmt = match &spec.kind {
-            SpecKind::Program(p) => self.program(p.clone()),
-            SpecKind::Tpch(q) => self.query(*q),
-            // A statement that cannot even be built (SQL parse error)
-            // still counts toward the serving metrics: failure-rate
-            // monitoring must cover the whole request, like run_on does.
-            SpecKind::Sql(text) => match self.sql(text) {
-                Ok(stmt) => stmt,
-                Err(e) => {
-                    self.record_execution(started, false);
-                    return Err(e);
-                }
-            },
-            // View reads maintain state against the LIVE catalog — they
-            // ignore `spec.pinned` by design: a maintained view's whole
-            // contract is convergence with the current data, and its
-            // internal snapshot pin already makes each refresh atomic.
-            SpecKind::View(name) => {
-                let backend = match &spec.backend {
-                    Some(b) => b.clone(),
-                    None => self.default_backend(),
-                };
-                let result = self.view_rows_on(name, &backend);
-                self.record_execution(started, result.is_ok());
-                return result.map(StatementOutput::Rows);
-            }
-        };
-        let backend = match &spec.backend {
-            Some(b) => b.clone(),
-            None => self.default_backend(),
-        };
-        // Batch statements run against their batch's pinned snapshot
-        // (no per-slot re-pin); ad-hoc specs pin the current one.
-        stmt.run_on_pinned(&backend, spec.pinned.as_ref())
-    }
-
-    /// Static diagnostics for one statement spec, without executing it on
-    /// a backend. An empty vector means every lowered program passed all
-    /// [`voodoo_verify`] analyzer passes; frontend failures (SQL parse,
-    /// lowering, an unknown view) are reported as diagnostics too, so a
-    /// serving loop has one pre-admission check for "will this reject?".
-    ///
-    /// Multi-program TPC-H queries are the one exception to "no
-    /// execution": their later programs are discovered by running the
-    /// earlier ones (exactly like [`crate::Statement::explain`]).
-    pub fn verify_spec(self: &Arc<Self>, spec: &StatementSpec) -> Vec<Diagnostic> {
-        let cat = self.snapshot();
-        match &spec.kind {
-            SpecKind::Program(p) => voodoo_verify::diagnostics(p, &cat),
-            SpecKind::Sql(text) => match sql::parse(text) {
-                Ok(q) => self.verify_sql(&q, &cat),
-                Err(e) => vec![Diagnostic::program(
-                    Pass::Structure,
-                    format!("SQL parse: {e}"),
-                )],
-            },
-            SpecKind::Tpch(q) => self.verify_tpch(*q, &cat),
-            SpecKind::View(name) => match self.view_def(name) {
-                Some(def) => verify_view_def(&def, &cat),
-                None => vec![Diagnostic::program(
-                    Pass::Structure,
-                    format!("unknown view {name:?}"),
-                )],
-            },
-        }
-    }
-
-    /// Diagnostics for a parsed SQL statement lowered against `cat`.
-    pub(crate) fn verify_sql(&self, q: &sql::SqlQuery, cat: &Catalog) -> Vec<Diagnostic> {
-        match sql::lower(cat, q) {
-            Ok(lowered) => voodoo_verify::diagnostics(&lowered.program, cat),
-            Err(e) => vec![Diagnostic::program(
-                Pass::Shape,
-                format!("SQL lowering: {e}"),
-            )],
-        }
-    }
-
-    /// Diagnostics across every program of a TPC-H plan. Earlier programs
-    /// execute (on the default backend, through the plan cache) so the
-    /// staged later ones can be analyzed against the tables they create.
-    pub(crate) fn verify_tpch(self: &Arc<Self>, q: Query, cat: &Catalog) -> Vec<Diagnostic> {
-        let backend = match self.backend_arc(&self.default_backend()) {
-            Ok(b) => b,
-            Err(e) => return vec![Diagnostic::program(Pass::Structure, e.to_string())],
-        };
-        let mut diags = Vec::new();
-        let _ = queries::run_query(cat, q, &mut |p: &Program, c: &Catalog| {
-            diags.extend(voodoo_verify::diagnostics(p, c));
-            self.plan_for(&backend, p, c)?.execute(c)
-        });
-        diags
-    }
-}
-
-/// Diagnostics for every stage program of a maintained-view definition.
-fn verify_view_def(def: &ViewDef, cat: &Catalog) -> Vec<Diagnostic> {
-    let mut diags = voodoo_verify::diagnostics(&def.source.full_program(), cat);
-    if let Some(j) = &def.join {
-        diags.extend(voodoo_verify::diagnostics(&j.right.full_program(), cat));
-    }
-    diags
 }
 
 // ---------------------------------------------------------------------
-// Catalog write guard
-// ---------------------------------------------------------------------
-
-/// A copy-on-write transaction over an [`Engine`]'s catalog. Mutate it
-/// through `Deref`/`DerefMut`; the new snapshot is published atomically
-/// when the guard drops.
-pub struct CatalogWrite<'e> {
-    shared: std::sync::RwLockWriteGuard<'e, Shared>,
-    working: Option<Catalog>,
-}
-
-impl std::ops::Deref for CatalogWrite<'_> {
-    type Target = Catalog;
-
-    fn deref(&self) -> &Catalog {
-        self.working.as_ref().expect("live guard")
-    }
-}
-
-impl std::ops::DerefMut for CatalogWrite<'_> {
-    fn deref_mut(&mut self) -> &mut Catalog {
-        self.working.as_mut().expect("live guard")
-    }
-}
-
-impl Drop for CatalogWrite<'_> {
-    fn drop(&mut self) {
-        let working = self.working.take().expect("live guard");
-        self.shared.catalog = CatalogSnapshot::new(working);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Batch statement specs
-// ---------------------------------------------------------------------
-
-#[derive(Clone)]
-pub(crate) enum SpecKind {
-    Program(Program),
-    Tpch(Query),
-    Sql(String),
-    View(String),
-}
-
-/// One statement of a [`Engine::run_batch`] batch: what to run and
-/// (optionally) which backend to run it on.
-#[derive(Clone)]
-pub struct StatementSpec {
-    pub(crate) kind: SpecKind,
-    pub(crate) backend: Option<String>,
-    /// A catalog snapshot this statement must execute against instead of
-    /// pinning the engine's current one ([`Engine::run_batch`] pins once
-    /// per batch and shares the pin across every slot).
-    pinned: Option<CatalogSnapshot>,
-}
-
-impl StatementSpec {
-    /// A raw Voodoo program.
-    pub fn program(p: Program) -> StatementSpec {
-        StatementSpec {
-            kind: SpecKind::Program(p),
-            backend: None,
-            pinned: None,
-        }
-    }
-
-    /// A named TPC-H query.
-    pub fn tpch(q: Query) -> StatementSpec {
-        StatementSpec {
-            kind: SpecKind::Tpch(q),
-            backend: None,
-            pinned: None,
-        }
-    }
-
-    /// A SQL string (parsed when the batch runs; a parse error fails only
-    /// this statement's slot).
-    pub fn sql(text: impl Into<String>) -> StatementSpec {
-        StatementSpec {
-            kind: SpecKind::Sql(text.into()),
-            backend: None,
-            pinned: None,
-        }
-    }
-
-    /// A read of a registered materialized view ([`Engine::create_view`]),
-    /// refreshed on read. Unlike the other spec kinds a view read ignores
-    /// any batch-pinned snapshot: the view maintains state against the
-    /// live catalog (its refresh pins its own snapshot internally).
-    pub fn view(name: impl Into<String>) -> StatementSpec {
-        StatementSpec {
-            kind: SpecKind::View(name.into()),
-            backend: None,
-            pinned: None,
-        }
-    }
-
-    /// Pin this statement to a named backend instead of the default.
-    pub fn on(mut self, backend: &str) -> StatementSpec {
-        self.backend = Some(backend.to_string());
-        self
-    }
-
-    /// Pin this statement to a specific catalog snapshot.
-    pub(crate) fn pinned_to(mut self, snapshot: CatalogSnapshot) -> StatementSpec {
-        self.pinned = Some(snapshot);
-        self
-    }
-}
-
-// ---------------------------------------------------------------------
-// Free functions (pre-engine API)
+// Free function (pre-engine API)
 // ---------------------------------------------------------------------
 
 /// Run a TPC-H query on an arbitrary backend (no caching; see
@@ -1191,62 +1055,4 @@ pub fn run_query_on(backend: &dyn Backend, cat: &Catalog, q: Query) -> Result<Qu
     queries::run_query(cat, q, &mut |p: &Program, c: &Catalog| {
         backend.prepare(p, c)?.execute(c)
     })
-}
-
-/// Run a query through an arbitrary executor callback (e.g. a timing
-/// wrapper). Executor failures propagate instead of panicking.
-#[deprecated(note = "use Session (or run_query_on with a custom Backend) instead")]
-pub fn run_with<F>(cat: &Catalog, q: Query, mut exec: F) -> Result<QueryResult>
-where
-    F: FnMut(&Program, &Catalog) -> Result<ExecOutput>,
-{
-    queries::run_query(cat, q, &mut |p: &Program, c: &Catalog| exec(p, c))
-}
-
-/// Shared body of the deprecated per-backend shims: stand up a one-shot
-/// engine over (an Arc-shared clone of) the caller's catalog, register
-/// the requested backend, and execute through the serving queue — the
-/// same admission path [`Engine::serve`] and [`Engine::run_batch`] use —
-/// so even legacy callers flow through the plan cache and metrics.
-fn run_shim_through_queue(cat: &Catalog, q: Query, backend: Arc<dyn Backend>) -> QueryResult {
-    let engine = Arc::new(Engine::new(cat.clone()));
-    engine.register("shim", backend);
-    let server = engine.serve(
-        crate::ServeConfig::default()
-            .with_queue_capacity(1)
-            .with_workers(1),
-    );
-    let receipt = server
-        .submit_wait(StatementSpec::tpch(q).on("shim"), None)
-        .expect("one-slot queue admits the only statement");
-    let out = receipt
-        .wait()
-        .map_err(crate::ServeError::into_engine_error)
-        .expect("shim execution");
-    server.shutdown();
-    out.into_rows()
-}
-
-/// Run a query on the reference interpreter backend.
-#[deprecated(note = "use Session::query(q).run_on(\"interp\") instead")]
-pub fn run_interp(cat: &Catalog, q: Query) -> QueryResult {
-    run_shim_through_queue(cat, q, Arc::new(InterpBackend::new()))
-}
-
-/// Run a query on the compiled CPU backend.
-#[deprecated(note = "use Session::query(q).run() instead")]
-pub fn run_compiled(cat: &Catalog, q: Query, threads: usize) -> QueryResult {
-    let backend = CpuBackend::with_threads(threads);
-    run_shim_through_queue(cat, q, Arc::new(backend))
-}
-
-/// Run a query on the compiled backend with the CSE+DCE normalization
-/// pass applied first (the sharing the paper's §2 "Minimal" principle
-/// enables; see `voodoo_core::transform`). Results are identical to
-/// [`run_compiled`] by construction — pinned by tests — while plans
-/// shrink wherever the frontend emitted redundant control vectors.
-#[deprecated(note = "use Session (its cpu backend normalizes by default) instead")]
-pub fn run_compiled_optimized(cat: &Catalog, q: Query, threads: usize) -> QueryResult {
-    let backend = CpuBackend::with_threads(threads).with_optimize(true);
-    run_shim_through_queue(cat, q, Arc::new(backend))
 }

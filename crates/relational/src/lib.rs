@@ -18,8 +18,12 @@
 //! * [`queries`] — one Voodoo plan per evaluated TPC-H query,
 //! * [`engine`] — the shared, thread-safe [`Engine`]: catalog snapshots
 //!   (copy-on-write), the backend registry, the sharded LRU plan cache,
-//!   serving metrics, and [`Engine::run_batch`]; plus
-//!   [`engine::run_query_on`] and the deprecated per-backend shims,
+//!   serving metrics, the single execution scope every statement runs
+//!   in, and [`Engine::run_batch`]; plus [`engine::run_query_on`],
+//! * [`statement`] — the statement pipeline: [`StatementSpec`] (the one
+//!   statement description every front door accepts), the driver that
+//!   lowers a spec and walks its programs, and the [`Statement`] handle
+//!   whose run / explain / profile / verify are four closures over it,
 //! * [`serve`] — the admission-controlled serving front door: a bounded
 //!   queue over one engine, drained by a fixed worker pool in
 //!   weighted-fair session order, shedding explicitly on overload
@@ -30,9 +34,9 @@
 //!   policy ([`Retry`]),
 //! * [`session`] — the [`Session`] handle: a cheap clone onto a shared
 //!   engine, one entry point over every frontend (raw programs, TPC-H
-//!   queries, SQL) and every registered [`voodoo_backend::Backend`];
-//!   [`Statement`]s are `Send`, so many threads can prepare/run/profile
-//!   concurrently against one engine,
+//!   queries, SQL, view reads) and every registered
+//!   [`voodoo_backend::Backend`]; [`Statement`]s are `Send`, so many
+//!   threads can prepare/run/profile concurrently against one engine,
 //! * [`shard`] — sharded multi-engine serving: a [`ShardedEngine`] owns
 //!   N engines plus a [`shard::Router`] assigning tables to shards;
 //!   single-shard statements route straight through the owner's serve
@@ -111,8 +115,8 @@
 //! `Backend::prepare` — structure, shape/sentinel domains, effects,
 //! parallel safety — so nothing executes unverified, and a malformed
 //! program fails with pointed [`voodoo_core::Diagnostic`]s rather than
-//! a panic. The same pipeline is exposed as a dry run that spends no
-//! plan-cache entry or queue slot: [`session::Statement::verify`],
+//! a panic. The same pipeline is exposed as a pre-admission check that
+//! takes no queue slot: [`Statement::verify`],
 //! [`Session::verify`](session::Session::verify), and
 //! [`ServerHandle::verify`] / [`serve::ServeSession::verify`] at the
 //! serving front door.
@@ -137,7 +141,7 @@
 //! ```
 //!
 //! The repo-level `ARCHITECTURE.md` maps how these pieces — and the
-//! other twelve crates — fit together.
+//! other fourteen crates — fit together.
 
 // The serving surface is the public face of the reproduction: every
 // exported item carries documentation, enforced at build time.
@@ -152,19 +156,19 @@ pub mod serve;
 pub mod session;
 pub mod shard;
 pub mod sql;
+pub mod statement;
 pub mod views;
 
-#[allow(deprecated)]
-pub use engine::{run_compiled, run_compiled_optimized, run_interp, run_with};
-pub use engine::{run_query_on, CatalogWrite, Engine, EngineMetrics, StatementSpec};
+pub use engine::{run_query_on, Engine, EngineMetrics};
 pub use overload::{OverloadConfig, Quota, Retry};
 pub use prepare::prepare;
 pub use serve::{
     Completion, Receipt, ServeConfig, ServeError, ServeResult, ServeSession, ServeStats,
     ServerHandle, SessionServeStats, SubmitError, DEFAULT_QUEUE_CAPACITY,
 };
-pub use session::{RunProfile, Session, Statement, StatementOutput};
+pub use session::Session;
 pub use shard::{Router, ShardError, ShardedEngine, ShardedMetrics, ShardedSession};
+pub use statement::{RunProfile, Statement, StatementOutput, StatementSpec};
 pub use views::{
     AggDef, AggFn, AggSpec, JoinDef, MaintainedView, Pred, RefreshKind, SExpr, Source, ViewDef,
 };

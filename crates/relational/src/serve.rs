@@ -107,16 +107,15 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use voodoo_core::{Diagnostic, VoodooError};
 
-use crate::engine::{Engine, StatementSpec};
+use crate::engine::Engine;
 use crate::overload::{Controller, OverloadConfig, Quota, TokenBucket};
-use crate::session::StatementOutput;
+use crate::statement::{StatementOutput, StatementSpec};
 
 /// Default bound on admitted-but-not-yet-executing statements.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
@@ -770,11 +769,15 @@ fn worker_loop(shared: Arc<ServeShared>) {
         // pressure the pool serves more statements, not each faster.
         voodoo_compile::exec::set_parallelism_budget(Some(budget));
         let started = Instant::now();
-        shared.engine.cache_trace_begin();
-        let outcome = catch_unwind(AssertUnwindSafe(|| shared.engine.run_spec(&job.spec)));
-        let (hits, misses) = shared.engine.cache_trace_end();
-        counters.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        counters.cache_misses.fetch_add(misses, Ordering::Relaxed);
+        // The execution scope catches a panicking statement itself (and
+        // counts it as a failure), so only this receipt fails.
+        let executed = shared.engine.run_spec(&job.spec);
+        counters
+            .cache_hits
+            .fetch_add(executed.cache_hits, Ordering::Relaxed);
+        counters
+            .cache_misses
+            .fetch_add(executed.cache_misses, Ordering::Relaxed);
         if let Some(bucket) = &job.bucket {
             bucket
                 .lock()
@@ -785,14 +788,10 @@ fn worker_loop(shared: Arc<ServeShared>) {
         // server per shard), `[shard-1/session-2]` in the message is what
         // makes a partial failure debuggable from the error alone.
         let origin = || format!("{}/session-{}", shared.label, job.session);
-        let result = match outcome {
+        let result = match executed.outcome {
             Ok(Ok(output)) => Ok(output),
             Ok(Err(e)) => Err(ServeError::Engine(attribute_engine_error(e, &origin()))),
             Err(panic) => {
-                // The statement never reached its own metrics record;
-                // count the failure here so the failure rate covers
-                // panics too.
-                shared.engine.record_execution(started, false);
                 let msg = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
@@ -988,9 +987,10 @@ impl ServerHandle {
             .map_or(0.0, |c| c.shed_probability())
     }
 
-    /// Static diagnostics for a spec, synchronously and without taking a
-    /// queue slot — a pre-admission check that a statement will pass every
-    /// backend's prepare-time analyzer. See [`Engine::verify_spec`].
+    /// Static diagnostics for a spec, synchronously on the calling thread
+    /// and without taking a queue slot — a pre-admission check that a
+    /// statement will pass every backend's prepare-time analyzer. See
+    /// [`Engine::verify_spec`].
     pub fn verify(&self, spec: &StatementSpec) -> Vec<Diagnostic> {
         self.shared.engine.verify_spec(spec)
     }

@@ -8,7 +8,9 @@
 //! queries against the same engine, shares its plan cache, and never
 //! blocks other handles while executing.
 //!
-//! Statements come from three frontends and share one handle type:
+//! Statements come from every frontend (raw programs, TPC-H plans, SQL,
+//! view reads) and share one handle type, [`Statement`] — a
+//! [`StatementSpec`] bound to the engine (see [`crate::statement`]):
 //!
 //! ```
 //! use voodoo_relational::Session;
@@ -123,18 +125,14 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use voodoo_backend::{Backend, CacheStats, PlanProfile};
-use voodoo_compile::EventProfile;
+use voodoo_backend::{Backend, CacheStats};
 use voodoo_core::{Diagnostic, Program, Result};
-use voodoo_interp::ExecOutput;
 use voodoo_storage::{Catalog, CatalogSnapshot};
 use voodoo_tpch::queries::{Query, QueryResult};
 
-use crate::engine::{CatalogWrite, Engine, EngineMetrics, ResolvedBackend, StatementSpec};
-use crate::queries;
-use crate::sql::{self, SqlQuery};
+use crate::engine::{Engine, EngineMetrics};
+use crate::statement::{Statement, StatementOutput, StatementSpec};
 
 /// The default backend names registered by [`Engine::new`].
 pub mod backends {
@@ -144,304 +142,6 @@ pub mod backends {
     pub const CPU: &str = "cpu";
     /// The simulated TITAN-X-class GPU.
     pub const GPU: &str = "gpu";
-}
-
-/// Aggregate profile of one statement execution (all programs of its plan).
-#[derive(Debug, Clone)]
-pub struct RunProfile {
-    /// Number of Voodoo programs executed (most queries: 1; Q20: 2).
-    pub programs: usize,
-    /// Merged architectural events across programs.
-    pub events: EventProfile,
-    /// Per-execution-unit events, concatenated in execution order.
-    pub unit_events: Vec<EventProfile>,
-    /// Total simulated seconds, when the backend prices a device model.
-    pub simulated_seconds: Option<f64>,
-}
-
-impl RunProfile {
-    fn absorb(&mut self, p: PlanProfile) {
-        self.programs += 1;
-        self.events.merge(&p.events);
-        self.unit_events.extend(p.unit_events.iter().cloned());
-        if let Some(s) = p.simulated_seconds() {
-            *self.simulated_seconds.get_or_insert(0.0) += s;
-        }
-    }
-}
-
-/// What a statement produced: canonical rows for relational frontends,
-/// raw program outputs for the algebra frontend.
-#[derive(Debug, Clone)]
-pub enum StatementOutput {
-    /// Canonical sorted integer rows (TPC-H queries, SQL).
-    Rows(QueryResult),
-    /// Raw program outputs (raw [`Program`] statements).
-    Raw(ExecOutput),
-}
-
-impl StatementOutput {
-    /// The canonical rows (panics on a raw-program statement).
-    pub fn rows(&self) -> &QueryResult {
-        match self {
-            StatementOutput::Rows(r) => r,
-            StatementOutput::Raw(_) => panic!("raw-program statement has no canonical rows"),
-        }
-    }
-
-    /// Consume into canonical rows (panics on a raw-program statement).
-    pub fn into_rows(self) -> QueryResult {
-        match self {
-            StatementOutput::Rows(r) => r,
-            StatementOutput::Raw(_) => panic!("raw-program statement has no canonical rows"),
-        }
-    }
-
-    /// The raw program output (panics on a relational statement).
-    pub fn raw(&self) -> &ExecOutput {
-        match self {
-            StatementOutput::Raw(o) => o,
-            StatementOutput::Rows(_) => panic!("relational statement has no raw output"),
-        }
-    }
-
-    /// Consume into the raw program output (panics on a relational
-    /// statement).
-    pub fn into_raw(self) -> ExecOutput {
-        match self {
-            StatementOutput::Raw(o) => o,
-            StatementOutput::Rows(_) => panic!("relational statement has no raw output"),
-        }
-    }
-}
-
-enum StatementKind {
-    Program(Program),
-    Tpch(Query),
-    Sql(SqlQuery),
-}
-
-/// A prepared statement handle: run, re-target, explain or profile one
-/// logical statement without caring which frontend produced it.
-///
-/// Statements own an [`Arc`] onto their engine, so they are `Send` and
-/// `'static`: build them on one thread, run them on another. Every
-/// execution pins the engine's *current* catalog snapshot at start and
-/// holds no engine lock while running.
-pub struct Statement {
-    engine: Arc<Engine>,
-    kind: StatementKind,
-}
-
-impl Statement {
-    /// Execute on the engine's default backend.
-    pub fn run(&self) -> Result<StatementOutput> {
-        self.run_on(&self.engine.default_backend())
-    }
-
-    /// Execute on a named backend — the Figure 4 one-word re-target.
-    ///
-    /// Every call counts toward the engine's serving metrics, including
-    /// ones that fail before execution starts (e.g. an unknown backend
-    /// name): a serving loop wants its failure rate to cover those.
-    pub fn run_on(&self, backend: &str) -> Result<StatementOutput> {
-        self.run_on_pinned(backend, None)
-    }
-
-    /// [`Self::run_on`] against an explicit catalog snapshot (`None` pins
-    /// the engine's current one). Batch execution passes the batch-wide
-    /// pin here so slots share one snapshot instead of re-pinning each.
-    pub(crate) fn run_on_pinned(
-        &self,
-        backend: &str,
-        pinned: Option<&CatalogSnapshot>,
-    ) -> Result<StatementOutput> {
-        let started = Instant::now();
-        // Execute on the engine's persistent morsel pool, tracing the
-        // scheduling (fan-out, pool tasks, steals) into its metrics.
-        let _pool = voodoo_compile::pool::enter(self.engine.morsel_pool());
-        voodoo_compile::exec::statement_trace_begin();
-        let result = (|| {
-            let backend = self.engine.backend_arc(backend)?;
-            let held;
-            let cat: &CatalogSnapshot = match pinned {
-                Some(snapshot) => snapshot,
-                None => {
-                    held = self.engine.snapshot();
-                    &held
-                }
-            };
-            self.execute_with(&backend, cat)
-        })();
-        let trace = voodoo_compile::exec::statement_trace_end();
-        self.engine
-            .record_execution_traced(started, result.is_ok(), trace);
-        result
-    }
-
-    fn execute_with(&self, backend: &ResolvedBackend, cat: &Catalog) -> Result<StatementOutput> {
-        match &self.kind {
-            StatementKind::Program(p) => {
-                let plan = self.engine.plan_for(backend, p, cat)?;
-                Ok(StatementOutput::Raw(plan.execute(cat)?))
-            }
-            StatementKind::Tpch(q) => {
-                let result = queries::run_query(cat, *q, &mut |p: &Program, c: &Catalog| {
-                    self.engine.plan_for(backend, p, c)?.execute(c)
-                })?;
-                Ok(StatementOutput::Rows(result))
-            }
-            StatementKind::Sql(q) => {
-                let lowered = sql::lower(cat, q)?;
-                let plan = self.engine.plan_for(backend, &lowered.program, cat)?;
-                let out = plan.execute(cat)?;
-                let rows = sql::extract_rows(&lowered, &out);
-                Ok(StatementOutput::Rows(QueryResult::new(rows)))
-            }
-        }
-    }
-
-    /// The physical plan on the default backend: fragment structure and —
-    /// for the compiling backends — the rendered OpenCL-style kernels.
-    pub fn explain(&self) -> Result<String> {
-        self.explain_on(&self.engine.default_backend())
-    }
-
-    /// [`Self::explain`] on a named backend.
-    ///
-    /// Multi-program plans (Q20) stage intermediate results, so explaining
-    /// them executes the earlier programs to discover the later ones.
-    pub fn explain_on(&self, backend: &str) -> Result<String> {
-        let backend = self.engine.backend_arc(backend)?;
-        let cat = self.engine.snapshot();
-        match &self.kind {
-            StatementKind::Program(p) => Ok(self.engine.plan_for(&backend, p, &cat)?.explain()),
-            StatementKind::Sql(q) => {
-                let lowered = sql::lower(&cat, q)?;
-                Ok(self
-                    .engine
-                    .plan_for(&backend, &lowered.program, &cat)?
-                    .explain())
-            }
-            StatementKind::Tpch(q) => {
-                let mut sections = Vec::new();
-                let _ = queries::run_query(&cat, *q, &mut |p: &Program, c: &Catalog| {
-                    let plan = self.engine.plan_for(&backend, p, c)?;
-                    sections.push(plan.explain());
-                    plan.execute(c)
-                })?;
-                let mut s = String::new();
-                for (i, sec) in sections.iter().enumerate() {
-                    s.push_str(&format!(
-                        "== {} program {}/{} ==\n",
-                        q.name(),
-                        i + 1,
-                        sections.len()
-                    ));
-                    s.push_str(sec);
-                    s.push('\n');
-                }
-                Ok(s)
-            }
-        }
-    }
-
-    /// Static diagnostics for this statement, without executing it on a
-    /// backend: the full [`voodoo_verify`] pass pipeline over every
-    /// lowered program, against the current catalog snapshot. Empty means
-    /// the statement will pass every backend's prepare-time analyzer;
-    /// otherwise each [`Diagnostic`] pinpoints a statement and pass.
-    ///
-    /// Frontend failures (SQL lowering against this catalog) are reported
-    /// as diagnostics too. Multi-program TPC-H plans execute their
-    /// earlier programs to discover the later ones, like
-    /// [`Statement::explain`].
-    pub fn verify(&self) -> Vec<Diagnostic> {
-        let cat = self.engine.snapshot();
-        match &self.kind {
-            StatementKind::Program(p) => voodoo_verify::diagnostics(p, &cat),
-            StatementKind::Sql(q) => self.engine.verify_sql(q, &cat),
-            StatementKind::Tpch(q) => self.engine.verify_tpch(*q, &cat),
-        }
-    }
-
-    /// Execute on the default backend while profiling.
-    pub fn profile(&self) -> Result<RunProfile> {
-        self.profile_on(&self.engine.default_backend())
-    }
-
-    /// Execute on a named backend while counting architectural events
-    /// (and pricing them, on device-model backends).
-    pub fn profile_on(&self, backend: &str) -> Result<RunProfile> {
-        let backend = self.engine.backend_arc(backend)?;
-        let cat = self.engine.snapshot();
-        let mut acc = RunProfile {
-            programs: 0,
-            events: EventProfile::default(),
-            unit_events: Vec::new(),
-            simulated_seconds: None,
-        };
-        let started = Instant::now();
-        let _pool = voodoo_compile::pool::enter(self.engine.morsel_pool());
-        voodoo_compile::exec::statement_trace_begin();
-        let result = (|| match &self.kind {
-            StatementKind::Program(p) => {
-                let plan = self.engine.plan_for(&backend, p, &cat)?;
-                acc.absorb(plan.profile(&cat)?);
-                Ok(())
-            }
-            StatementKind::Sql(q) => {
-                let lowered = sql::lower(&cat, q)?;
-                let plan = self.engine.plan_for(&backend, &lowered.program, &cat)?;
-                acc.absorb(plan.profile(&cat)?);
-                Ok(())
-            }
-            StatementKind::Tpch(q) => {
-                let _ = queries::run_query(&cat, *q, &mut |p: &Program, c: &Catalog| {
-                    let plan = self.engine.plan_for(&backend, p, c)?;
-                    let prof = plan.profile(c)?;
-                    let out = prof.output.clone();
-                    acc.absorb(prof);
-                    Ok(out)
-                })?;
-                Ok(())
-            }
-        })();
-        let trace = voodoo_compile::exec::statement_trace_end();
-        self.engine
-            .record_execution_traced(started, result.is_ok(), trace);
-        result.map(|()| acc)
-    }
-}
-
-/// Statement constructors live on the engine so both [`Session`] and
-/// direct `Arc<Engine>` holders can build [`Statement`]s.
-impl Engine {
-    /// A statement from a raw Voodoo program (the algebra frontend).
-    pub fn program(self: &Arc<Self>, program: Program) -> Statement {
-        Statement {
-            engine: Arc::clone(self),
-            kind: StatementKind::Program(program),
-        }
-    }
-
-    /// A statement from a named TPC-H query (the planner frontend).
-    pub fn query(self: &Arc<Self>, query: Query) -> Statement {
-        Statement {
-            engine: Arc::clone(self),
-            kind: StatementKind::Tpch(query),
-        }
-    }
-
-    /// A statement from a SQL string (parsed eagerly; lowering happens at
-    /// run time against the then-current catalog snapshot).
-    pub fn sql(self: &Arc<Self>, text: &str) -> Result<Statement> {
-        let parsed = sql::parse(text)?;
-        Ok(Statement {
-            engine: Arc::clone(self),
-            kind: StatementKind::Sql(parsed),
-        })
-    }
 }
 
 /// A cheap, clonable handle onto a shared [`Engine`].
@@ -515,15 +215,9 @@ impl Session {
         self.engine.snapshot()
     }
 
-    /// A copy-on-write write guard over the catalog; the mutation is
-    /// published (and the catalog version bumped, invalidating cached
-    /// plans) when the guard drops. See [`Engine::catalog_mut`].
-    pub fn catalog_mut(&self) -> CatalogWrite<'_> {
-        self.engine.catalog_mut()
-    }
-
-    /// Apply a catalog mutation functionally. See
-    /// [`Engine::mutate_catalog`].
+    /// Apply a mutation to a private copy of the catalog and publish the
+    /// result (bumping the catalog version, which invalidates cached
+    /// plans over the touched tables). See [`Engine::mutate_catalog`].
     pub fn mutate_catalog<T>(&self, f: impl FnOnce(&mut Catalog) -> T) -> T {
         self.engine.mutate_catalog(f)
     }
@@ -555,6 +249,11 @@ impl Session {
         self.engine.metrics()
     }
 
+    /// A statement handle from any spec. See [`Engine::statement`].
+    pub fn statement(&self, spec: StatementSpec) -> Statement {
+        self.engine.statement(spec)
+    }
+
     /// A statement from a raw Voodoo program (the algebra frontend).
     pub fn program(&self, program: Program) -> Statement {
         self.engine.program(program)
@@ -577,9 +276,9 @@ impl Session {
         self.engine.run_batch(specs)
     }
 
-    /// Static diagnostics for a statement spec, without executing it.
-    /// See [`Engine::verify_spec`]; [`Statement::verify`] is the same
-    /// check on an already-built statement handle.
+    /// Static diagnostics for a statement spec. See
+    /// [`Engine::verify_spec`]; [`Statement::verify`] is the same check
+    /// on an already-built statement handle.
     pub fn verify(&self, spec: &StatementSpec) -> Vec<Diagnostic> {
         self.engine.verify_spec(spec)
     }
@@ -728,7 +427,7 @@ mod tests {
         let misses = s.cache_stats().misses;
         // Mutating an UNRELATED table must leave Q6's plans hot — the
         // whole point of per-table versioning (Q6 reads only lineitem).
-        s.catalog_mut().put_i64_column("__scratch", &[1, 2, 3]);
+        s.mutate_catalog(|c| c.put_i64_column("__scratch", &[1, 2, 3]));
         s.query(Query::Q6).run().unwrap();
         assert_eq!(
             s.cache_stats().misses,
@@ -737,7 +436,9 @@ mod tests {
         );
         // Touching lineitem itself invalidates: the statement re-prepares
         // rather than reusing a stale plan.
-        s.catalog_mut().table_mut("lineitem");
+        s.mutate_catalog(|c| {
+            c.table_mut("lineitem");
+        });
         s.query(Query::Q6).run().unwrap();
         assert!(s.cache_stats().misses > misses);
     }
@@ -759,7 +460,7 @@ mod tests {
         let sum = p.fold_sum_global(t);
         p.ret(sum);
         let spec = StatementSpec::program(p).pinned_to(snapshot);
-        let out = s.engine().run_spec(&spec).unwrap();
+        let out = s.engine().run_spec(&spec).into_result().unwrap();
         assert_eq!(
             out.raw().returns[0]
                 .value_at(0, &voodoo_core::KeyPath::val())

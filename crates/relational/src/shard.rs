@@ -17,15 +17,13 @@
 //! # Routing
 //!
 //! A statement's table footprint decides its route, computed statically
-//! before any queue slot is spent:
-//!
-//! * raw programs — `voodoo_verify`'s effects pass
-//!   ([`voodoo_verify::read_set`]), the same exact read set plan-cache
-//!   freshness keys on;
-//! * TPC-H — [`crate::queries::query_tables`], the planner-side footprint
-//!   (host-read dictionaries and auxiliary flag tables included);
-//! * SQL — the parsed statement's single table;
-//! * view reads — the registry built by [`ShardedEngine::create_view`].
+//! before any queue slot is spent by the statement pipeline's `footprint`
+//! ([`crate::statement`]): raw programs through `voodoo_verify`'s effects
+//! pass (the same exact read set plan-cache freshness keys on), TPC-H
+//! through [`crate::queries::query_tables`] (host-read dictionaries and
+//! auxiliary flag tables included), SQL from the parsed statement's
+//! single table. View reads route through the registry built by
+//! [`ShardedEngine::create_view`].
 //!
 //! A footprint owned by **one** shard routes the statement straight
 //! through that shard's serve queue. A **cross-shard** footprint runs by
@@ -85,14 +83,14 @@ use voodoo_core::{Diagnostic, Program, VoodooError};
 use voodoo_storage::{Catalog, CatalogSnapshot};
 use voodoo_tpch::queries::QueryResult;
 
-use crate::engine::{Engine, EngineMetrics, SpecKind, StatementSpec};
+use crate::engine::{Engine, EngineMetrics};
 use crate::overload::Quota;
 use crate::serve::{
     ServeConfig, ServeError, ServeSession, ServerHandle, SessionServeStats, SubmitError,
 };
-use crate::session::StatementOutput;
+use crate::sql;
+use crate::statement::{footprint, Footprint, StatementOutput, StatementSpec};
 use crate::views::ViewDef;
-use crate::{queries, sql};
 
 // ---------------------------------------------------------------------
 // Router
@@ -277,30 +275,20 @@ impl ShardCore {
     }
 
     fn route_spec(&self, spec: &StatementSpec) -> Route {
-        let tables: Vec<String> = match &spec.kind {
-            SpecKind::Program(p) => voodoo_verify::read_set(p),
-            SpecKind::Tpch(q) => queries::query_tables(*q)
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect(),
-            // The SQL subset is single-table; a parse error reproduces
-            // identically on the (empty) coordinator, so the client sees
-            // the same failure a single engine reports.
-            SpecKind::Sql(text) => match sql::parse(text) {
-                Ok(q) => vec![q.table],
-                Err(_) => return Route::Coordinator,
-            },
+        let tables = match footprint(spec) {
+            Footprint::Tables(tables) => tables,
             // Views are maintained whole on their owning shard; an
             // unknown view fails on the coordinator with the same
             // "unknown view" error a single engine reports.
-            SpecKind::View(name) => {
-                let views = self.views.lock().unwrap_or_else(|e| e.into_inner());
-                return match views.get(name.as_str()) {
-                    Some(&s) => Route::Shard(s),
+            Footprint::View(name) => {
+                return match self.view_shard(name) {
+                    Some(s) => Route::Shard(s),
                     None => Route::Coordinator,
-                };
+                }
             }
         };
+        // No footprint: a pure program, or a frontend error (a SQL parse
+        // error) that reproduces identically on the empty coordinator.
         if tables.is_empty() {
             return Route::Coordinator;
         }
@@ -780,7 +768,7 @@ impl ShardedSession {
                 p.ret(v);
             }
             let mut probe = StatementSpec::program(p).pinned_to(snapshot.clone());
-            if let Some(b) = &spec.backend {
+            if let Some(b) = spec.backend() {
                 probe = probe.on(b);
             }
             let receipt = self.shards[*shard]

@@ -649,17 +649,6 @@ pub fn extract_rows(lowered: &LoweredQuery, out: &voodoo_interp::ExecOutput) -> 
     }
 }
 
-/// Parse, lower and run a SQL string on the given executor.
-pub fn execute<F>(cat: &Catalog, sql: &str, mut exec: F) -> Result<Vec<Vec<i64>>>
-where
-    F: FnMut(&Program, &Catalog) -> voodoo_interp::ExecOutput,
-{
-    let q = parse(sql)?;
-    let lowered = lower(cat, &q)?;
-    let out = exec(&lowered.program, cat);
-    Ok(extract_rows(&lowered, &out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -684,12 +673,14 @@ mod tests {
         cat
     }
 
+    fn run_in(cat: &Catalog, sql: &str) -> Vec<Vec<i64>> {
+        let lowered = lower(cat, &parse(sql).unwrap()).unwrap();
+        let out = Interpreter::new(cat).run_program(&lowered.program).unwrap();
+        extract_rows(&lowered, &out)
+    }
+
     fn run(sql: &str) -> Vec<Vec<i64>> {
-        let cat = cat();
-        execute(&cat, sql, |p, c| {
-            Interpreter::new(c).run_program(p).unwrap()
-        })
-        .unwrap()
+        run_in(&cat(), sql)
     }
 
     #[test]
@@ -765,12 +756,7 @@ mod tests {
             cat.insert_table(t);
             cat
         };
-        let rows = execute(
-            &cat,
-            "SELECT MIN(v), MAX(v) FROM t WHERE keep = 1",
-            |p, c| Interpreter::new(c).run_program(p).unwrap(),
-        )
-        .unwrap();
+        let rows = run_in(&cat, "SELECT MIN(v), MAX(v) FROM t WHERE keep = 1");
         assert_eq!(rows, vec![vec![-7, 9]]);
     }
 

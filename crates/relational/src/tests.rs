@@ -56,53 +56,21 @@ fn voodoo_compiled_multithreaded_matches() {
     }
 }
 
-/// The deprecated per-backend shims now route through the queue-aware
-/// serving path (`Engine::serve`); their TPC-H answers must remain
-/// bit-identical to both the reference engine and the Session path.
+/// `queries::run_query` hands every lowered program to its executor
+/// callback: results flow back through it, and executor failures
+/// propagate as errors instead of panicking.
 #[test]
-#[allow(deprecated)]
-fn legacy_shims_through_the_queue_stay_bit_identical() {
-    let cat = catalog();
-    let session = crate::Session::new(cat.clone());
-    for q in [Query::Q1, Query::Q6, Query::Q12, Query::Q14, Query::Q19] {
-        let h = voodoo_baselines::hyper::run(&cat, q);
-        let via_session = session.run_query(q).expect("session");
-        assert_eq!(h, via_session, "{} session baseline", q.name());
-        assert_eq!(h, crate::run_interp(&cat, q), "{} run_interp", q.name());
-        assert_eq!(
-            h,
-            crate::run_compiled(&cat, q, 2),
-            "{} run_compiled",
-            q.name()
-        );
-        assert_eq!(
-            h,
-            crate::run_compiled_optimized(&cat, q, 2),
-            "{} run_compiled_optimized",
-            q.name()
-        );
-    }
-}
-
-/// The deprecated free-function shims keep working (they forward to the
-/// unified backends).
-#[test]
-#[allow(deprecated)]
-fn legacy_engine_shims_still_answer() {
+fn run_query_propagates_executor_results_and_errors() {
     let cat = catalog();
     let h = voodoo_baselines::hyper::run(&cat, Query::Q6);
-    assert_eq!(h, crate::run_interp(&cat, Query::Q6));
-    assert_eq!(h, crate::run_compiled(&cat, Query::Q6, 2));
-    assert_eq!(h, crate::run_compiled_optimized(&cat, Query::Q6, 2));
     assert_eq!(
         h,
-        crate::run_with(&cat, Query::Q6, |p, c| {
+        crate::queries::run_query(&cat, Query::Q6, &mut |p, c| {
             voodoo_interp::Interpreter::new(c).run_program(p)
         })
-        .expect("run_with propagates executor results")
+        .expect("run_query propagates executor results")
     );
-    // Executor failures propagate as errors instead of panicking.
-    let err = crate::run_with(&cat, Query::Q6, |_, _| {
+    let err = crate::queries::run_query(&cat, Query::Q6, &mut |_, _| {
         Err(voodoo_core::VoodooError::Backend("boom".into()))
     });
     assert!(err.is_err());
@@ -118,10 +86,11 @@ fn q6_through_the_sql_frontend_matches_the_plan() {
          WHERE l_shipdate >= {lo} AND l_shipdate < {hi} \
          AND l_discount BETWEEN {dlo} AND {dhi} AND l_quantity < {qmax}"
     );
-    let rows = crate::sql::execute(&cat, &sql, |p, c| {
-        voodoo_interp::Interpreter::new(c).run_program(p).unwrap()
-    })
-    .unwrap();
+    let lowered = crate::sql::lower(&cat, &crate::sql::parse(&sql).unwrap()).unwrap();
+    let out = voodoo_interp::Interpreter::new(&cat)
+        .run_program(&lowered.program)
+        .unwrap();
+    let rows = crate::sql::extract_rows(&lowered, &out);
     let direct = run_query_on(&InterpBackend::new(), &cat, Query::Q6).expect("interp");
     assert_eq!(rows, direct.rows);
 }
@@ -193,20 +162,14 @@ mod sql_negative {
         // Lowering may defer name resolution (Load is late-bound), but the
         // pipeline as a whole must fail cleanly, never panic.
         let cat = voodoo_storage::Catalog::in_memory();
-        let mut engine_error = false;
-        let res = crate::sql::execute(&cat, "SELECT sum(a) FROM ghost", |p, c| {
-            match voodoo_interp::Interpreter::new(c).run_program(p) {
-                Ok(out) => out,
-                Err(_) => {
-                    engine_error = true;
-                    voodoo_interp::ExecOutput::default()
-                }
-            }
-        });
-        assert!(
-            res.is_err() || engine_error,
-            "missing table must surface as an error"
-        );
+        let q = parse("SELECT sum(a) FROM ghost").expect("parses");
+        let failed = match crate::sql::lower(&cat, &q) {
+            Err(_) => true,
+            Ok(lowered) => voodoo_interp::Interpreter::new(&cat)
+                .run_program(&lowered.program)
+                .is_err(),
+        };
+        assert!(failed, "missing table must surface as an error");
     }
 
     #[test]

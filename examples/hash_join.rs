@@ -72,7 +72,7 @@ fn main() {
     let build = hashtable::build_cuckoo_bounded("customers", 64, 16, "ck");
     let out = session.program(build).run().expect("build").into_raw();
     let (name, table) = &out.persisted[0];
-    session.catalog_mut().persist_vector(name, table);
+    session.mutate_catalog(|c| c.persist_vector(name, table));
     let probe = hashtable::probe_cuckoo("ck", "orders", 64);
     let out = session.program(probe).run().expect("probe").into_raw();
     let c1 = out.returns[0]

@@ -130,8 +130,8 @@
 //! `VoodooError::Rejected` with pointed [`core::Diagnostic`]s instead
 //! of panics or wrong answers. [`relational::Session::verify`] (and
 //! `Statement::verify` / `ServerHandle::verify`) expose the same
-//! pipeline as a dry run — lint a statement before spending a queue
-//! slot or a plan-cache entry on it:
+//! pipeline as a pre-admission check — lint a statement on the calling
+//! thread before spending a queue slot on it:
 //!
 //! ```
 //! use voodoo::core::{Pass, Program, VRef, VoodooError};

@@ -185,9 +185,7 @@ fn catalog_mutation_mid_stream_evicts_stale_plans_instead_of_serving_them() {
     // …mid-stream registration of an UNRELATED table bumps the catalog
     // version but not lineitem's: per-table invalidation keeps Q6's
     // plans hot.
-    session
-        .catalog_mut()
-        .put_i64_column("mid_stream", &[1, 2, 3]);
+    session.mutate_catalog(|c| c.put_i64_column("mid_stream", &[1, 2, 3]));
     assert!(session.catalog().table("mid_stream").is_some());
     let warm_rows = stmt.run().expect("warm").into_rows();
     assert_eq!(before_rows, warm_rows);
@@ -200,7 +198,9 @@ fn catalog_mutation_mid_stream_evicts_stale_plans_instead_of_serving_them() {
     // Touching lineitem itself stales the plan: the old handle
     // re-prepares against the new snapshot — same rows, a new miss, and
     // the stale plan is *evicted*, not served.
-    session.catalog_mut().table_mut("lineitem");
+    session.mutate_catalog(|c| {
+        c.table_mut("lineitem");
+    });
     let after_rows = stmt.run().expect("re-prepared").into_rows();
     assert_eq!(before_rows, after_rows);
     let after = session.cache_stats();
@@ -231,9 +231,7 @@ fn catalog_mutation_mid_stream_evicts_stale_plans_instead_of_serving_them() {
         for i in 0..3 {
             let handle = session.clone();
             scope.spawn(move || {
-                handle
-                    .catalog_mut()
-                    .put_i64_column(&format!("mid_stream_{i}"), &[i]);
+                handle.mutate_catalog(|c| c.put_i64_column(&format!("mid_stream_{i}"), &[i]));
             });
         }
     });

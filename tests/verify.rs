@@ -18,10 +18,9 @@ use std::sync::Arc;
 use proptest::test_runner::TestRng;
 use voodoo::backend::{Backend, CpuBackend, InterpBackend, SimGpuBackend};
 use voodoo::core::{BinOp, KeyPath, Op, Program, ScalarValue, VRef, VoodooError};
-// `run_with` is the only hook that hands out each lowered program of a
-// multi-program query; the audit wants exactly that.
-#[allow(deprecated)]
-use voodoo::relational::run_with;
+// `queries::run_query` hands out each lowered program of a multi-program
+// query through its executor callback; the audit wants exactly that.
+use voodoo::relational::queries::run_query;
 use voodoo::relational::{Session, StatementSpec};
 use voodoo::storage::Catalog;
 use voodoo::tpch::queries::CPU_QUERIES;
@@ -50,12 +49,11 @@ fn small_catalog() -> Catalog {
 /// syntactic `table_deps` over-approximation: the hand-built plans
 /// contain no dead `Load`s, so the two can only diverge on dead code.
 #[test]
-#[allow(deprecated)]
 fn paper_query_effect_sets_match_table_deps() {
     let session = Session::tpch(0.002);
     let cat = session.catalog();
     for q in CPU_QUERIES {
-        run_with(&cat, q, |p, c| {
+        run_query(&cat, q, &mut |p, c| {
             let eff = verify::effects(p);
             let deps: Vec<String> = p.table_deps().iter().map(|s| s.to_string()).collect();
             assert_eq!(
