@@ -249,15 +249,6 @@ impl CpuBackend {
         CpuBackend::parallel(Parallelism::Auto)
     }
 
-    /// Override how many morsels the executor offers the stealing pool
-    /// per resolved worker ([`ExecOptions::steal_grain`]; default
-    /// [`voodoo_storage::DEFAULT_STEAL_GRAIN`]). `1` restores the
-    /// static one-morsel-per-worker split.
-    pub fn with_steal_grain(mut self, grain: usize) -> CpuBackend {
-        self.opts.steal_grain = grain.max(1);
-        self
-    }
-
     /// Enable (or disable) the CSE+DCE normalization pass before
     /// compilation. Results are identical by construction — pinned by the
     /// relational differential tests — while plans shrink wherever the
@@ -335,11 +326,10 @@ impl Backend for CpuBackend {
 
     fn cache_params(&self) -> String {
         format!(
-            "par={:?};pred={};minpd={};grain={};opt={}",
+            "par={:?};pred={};minpd={};opt={}",
             self.opts.parallelism,
             self.opts.predicated_select,
             self.opts.min_parallel_domain,
-            self.opts.steal_grain,
             self.optimize
         )
     }

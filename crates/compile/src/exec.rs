@@ -1,25 +1,44 @@
 //! Execution of compiled plans on the CPU.
 //!
-//! Fragments run their work items data-parallel (chunks of contiguous
-//! runs per worker, each producing its own output segments — no
-//! synchronization inside a kernel, mirroring the ε padding argument of
-//! §2.2). Bulk units implement `Scatter`, `Partition` and the two fused
-//! patterns (virtual-scatter group aggregation, vectorized selection).
+//! Every execution unit — fused fragments and the bulk units (`Scatter`,
+//! `Partition` and the two fused patterns, virtual-scatter group
+//! aggregation and vectorized selection) — runs the same way: **partials
+//! from one fan-out driver, then one ordered merge**.
 //!
-//! **Morsel-driven intra-statement parallelism**: when [`ExecOptions::
-//! parallelism`] resolves to more than one thread, the hot kernels — the
-//! global-run fragments (selection emission, folds, elementwise maps),
-//! vectorized selection, the fused grouped aggregation and the
-//! expression side of scatters (the build side of joins) — slice their
-//! domain into [`voodoo_storage::Partitioning`] morsels (over-decomposed
-//! by [`ExecOptions::steal_grain`] so skew can rebalance), submit them
-//! to the **persistent work-stealing pool** ([`crate::pool`] — no
-//! per-unit thread spawns anywhere in this module), and merge the
-//! partials **in morsel order**, so results are bit-identical to the
-//! serial path (the interpreter remains the independent oracle) no
-//! matter which worker ran which morsel. Floating-point `Sum` folds
-//! stay serial: float addition is not associative, and bit-identity
-//! outranks speedup here.
+//! ```text
+//!   unit ──► fan_out(domain, unit, mergeable, work)
+//!              │ one morsel? ──── yes ──► work(0..domain) inline
+//!              │ no: Partitioning::for_stealing ──► persistent pool
+//!              ▼
+//!            partials in morsel order ──► the unit's merge rule
+//! ```
+//!
+//! The driver is the only code that decides fan-out (the paper's §2.3:
+//! one program runs serial or multicore purely by how its domain is cut
+//! into extents). It resolves [`ExecOptions::parallelism`], applies the
+//! [`ExecOptions::min_parallel_domain`] gate, cuts the domain into
+//! aligned extents of whole units (elements, runs or selection chunks),
+//! over-decomposed by [`DEFAULT_STEAL_GRAIN`] morsels per worker so skew
+//! can rebalance, and submits them as one batch to the **persistent
+//! work-stealing pool** ([`crate::pool`] — no per-unit thread spawns
+//! anywhere in this module). Serial execution is the one-morsel case,
+//! run inline on the calling thread with no pool hand-off.
+//!
+//! A unit only offers its domain for cutting when its partials merge —
+//! a verified program property the static analyzer recorded at prepare
+//! (float folds are not associative and prefix scans are order-dependent
+//! across a run, so they stay one morsel; bit-identity outranks speedup).
+//! Merge rules, all applied **in morsel order** so results are
+//! bit-identical to the serial path no matter which worker ran which
+//! morsel (the interpreter remains the independent oracle):
+//!
+//! * run-aligned extents (maps, uniform and dynamic runs) **stitch**;
+//! * a single global run **fold-combines** its per-morsel accumulators,
+//!   **compact-concatenates** its selection positions (the §2.2 ε
+//!   padding is what makes the morsels independent) and stitches writes;
+//! * scatters **apply** each morsel's compacted hits in order (serial
+//!   last-write-wins), grouped aggregation and vectorized selection
+//!   **combine** per-bucket / per-fold partials.
 //!
 //! The executor exposes the paper's physical tuning flags (§4): predicated
 //! vs. branching position emission, and event counting for the GPU model.
@@ -29,14 +48,15 @@
 //! compose to the machine instead of oversubscribing it.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use voodoo_core::{
-    AggKind, BinOp, Column, Op, Result, ScalarType, ScalarValue, StructuredVector, VRef,
+    AggKind, BinOp, Column, KeyPath, Op, Result, ScalarType, ScalarValue, StructuredVector, VRef,
     VoodooError,
 };
 use voodoo_interp::ExecOutput;
-use voodoo_storage::{Catalog, Morsel, Partitioning, DEFAULT_STEAL_GRAIN};
+use voodoo_storage::{Catalog, Partitioning, DEFAULT_STEAL_GRAIN};
 
 use crate::expr::{Env, Expr};
 use crate::plan::{
@@ -59,8 +79,8 @@ struct GroupPartial {
 /// morsel merge overhead beats marginal cores for these kernel sizes.
 pub const MAX_AUTO_THREADS: usize = 8;
 
-/// Domains below this many elements run serially by default: scoped
-/// thread spawn costs more than the scan. Override with
+/// Domains below this many elements run as one morsel by default: a pool
+/// hand-off costs more than the scan. Override with
 /// [`ExecOptions::min_parallel_domain`] (tests pin it to 1 to exercise
 /// partition boundaries on tiny inputs).
 pub const DEFAULT_MIN_PARALLEL_DOMAIN: usize = 4096;
@@ -127,15 +147,6 @@ pub fn statement_trace_end() -> StatementTrace {
     STATEMENT_TRACE.with(|t| t.take()).unwrap_or_default()
 }
 
-fn note_partitions(n: usize) {
-    STATEMENT_TRACE.with(|t| {
-        if let Some(mut cur) = t.get() {
-            cur.partitions = cur.partitions.max(n as u64);
-            t.set(Some(cur));
-        }
-    });
-}
-
 /// Credit one pool batch (its task count and how many of them were
 /// stolen) to the statement tracing on this thread. Called by
 /// [`crate::pool::MorselPool::run`] after its batch latch clears.
@@ -198,14 +209,9 @@ pub struct ExecOptions {
     /// Intra-statement morsel parallelism for fragment and bulk kernels.
     pub parallelism: Parallelism,
     /// Smallest domain worth fanning out
-    /// ([`DEFAULT_MIN_PARALLEL_DOMAIN`]); smaller domains run serially.
+    /// ([`DEFAULT_MIN_PARALLEL_DOMAIN`]); smaller domains run as one
+    /// morsel.
     pub min_parallel_domain: usize,
-    /// Morsels offered to the stealing pool *per resolved worker*
-    /// ([`voodoo_storage::DEFAULT_STEAL_GRAIN`]): fan-out is
-    /// `effective_threads × steal_grain` morsels, giving idle pool
-    /// workers spare units to steal when a morsel runs long. `1`
-    /// restores the static one-morsel-per-worker split.
-    pub steal_grain: usize,
 }
 
 impl Default for ExecOptions {
@@ -215,7 +221,6 @@ impl Default for ExecOptions {
             count_events: false,
             parallelism: Parallelism::Off,
             min_parallel_domain: DEFAULT_MIN_PARALLEL_DOMAIN,
-            steal_grain: DEFAULT_STEAL_GRAIN,
         }
     }
 }
@@ -226,29 +231,6 @@ impl ExecOptions {
     pub fn effective_threads(&self) -> usize {
         self.parallelism.effective()
     }
-
-    /// Whether `domain` is worth partitioning under these options.
-    fn worth_partitioning(&self, domain: usize) -> bool {
-        domain >= self.min_parallel_domain.max(2)
-    }
-
-    /// Slice a domain for the stealing pool: `workers × steal_grain`
-    /// morsels (see [`voodoo_storage::Partitioning::for_stealing`]).
-    fn stealing_parts(&self, domain: usize, workers: usize) -> Partitioning {
-        Partitioning::for_stealing(domain, workers, self.steal_grain)
-    }
-}
-
-/// Run indexed morsel tasks on the current thread's persistent pool
-/// ([`crate::pool::current`]), returning results in task (= morsel)
-/// order. The single shared entry point of every partition-parallel
-/// kernel: no execution unit spawns threads of its own.
-fn run_on_pool<T, F>(tasks: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    crate::pool::current().run(tasks)
 }
 
 /// Executes compiled programs.
@@ -323,9 +305,8 @@ impl Executor {
             returns.push(self.expanded(cp, &values, *r)?);
         }
         let mut persisted = Vec::new();
-        for (i, stmt) in cp.program.stmts().iter().enumerate() {
+        for stmt in cp.program.stmts() {
             if let Op::Persist { name, v } = &stmt.op {
-                let _ = i;
                 persisted.push((name.clone(), self.expanded(cp, &values, *v)?));
             }
         }
@@ -343,6 +324,67 @@ impl Executor {
             .as_ref()
             .map(|m| m.expand())
             .ok_or_else(|| VoodooError::Backend(format!("result {r} was never materialized")))
+    }
+
+    /// The one fan-out site: cut `[0, domain)` into extents of whole
+    /// `unit`s (elements, runs or selection chunks), run `work` on each
+    /// and return the partials **in extent order**.
+    ///
+    /// The domain is cut only when the unit's partials merge
+    /// (`mergeable`), more than one worker is in effect and the domain
+    /// clears [`ExecOptions::min_parallel_domain`]; the extents are then
+    /// [`DEFAULT_STEAL_GRAIN`] morsels per worker, submitted as one batch
+    /// to the current pool. Otherwise the whole domain is one morsel, run
+    /// inline on the calling thread. An empty domain has no morsels.
+    fn fan_out<T: Send>(
+        &self,
+        domain: usize,
+        unit: usize,
+        mergeable: bool,
+        work: impl Fn(Range<usize>) -> T + Sync,
+    ) -> Vec<T> {
+        let units = domain.div_ceil(unit);
+        let workers = if mergeable && domain >= self.opts.min_parallel_domain.max(2) {
+            self.opts.effective_threads()
+        } else {
+            1
+        };
+        if workers <= 1 || units <= 1 {
+            return if domain == 0 {
+                Vec::new()
+            } else {
+                vec![work(0..domain)]
+            };
+        }
+        let parts = Partitioning::for_stealing(units, workers, DEFAULT_STEAL_GRAIN);
+        STATEMENT_TRACE.with(|t| {
+            if let Some(mut cur) = t.get() {
+                cur.partitions = cur.partitions.max(parts.count() as u64);
+                t.set(Some(cur));
+            }
+        });
+        let work = &work;
+        crate::pool::current().run(
+            parts
+                .morsels()
+                .iter()
+                .map(|m| {
+                    let extent = m.start * unit..(m.end * unit).min(domain);
+                    move || work(extent)
+                })
+                .collect(),
+        )
+    }
+
+    /// A fresh evaluation environment for one kernel invocation.
+    fn env<'a>(&self, cp: &CompiledProgram, sources: &'a [Option<Arc<MatVec>>]) -> Env<'a> {
+        Env::new(
+            sources,
+            self.opts.count_events,
+            cp.branch_sites,
+            cp.gather_sites,
+        )
+        .with_predication(self.opts.predicated_select)
     }
 
     // ------------------------------------------------------------------
@@ -377,405 +419,169 @@ impl Executor {
             RunStructure::Single => (frag.domain as u64 / 1024).max(1),
         };
         let domain = frag.domain;
-        let threads = self.opts.effective_threads();
-        // Morsel path for global (Single) runs — the hot kernels of
-        // selection, fold and fused map fragments. Whether every fused
-        // action merges across morsels (writes and position emission
+        // Runs are independent, so run-aligned extents always merge. A
+        // single global run splits across morsels only when every fused
+        // action's partials merge (writes and position emission
         // concatenate, integer folds combine associatively, float folds
-        // and prefix scans do not) is a verified program property: the
-        // static analyzer classified each statement at prepare, and the
-        // executor only consults the verdicts.
-        if matches!(frag.run, RunStructure::Single)
-            && threads > 1
-            && self.opts.worth_partitioning(domain)
-            && frag
-                .actions
-                .iter()
-                .all(|a| cp.action_verdict(frag, a).morsel_mergeable())
-        {
-            let parts = self.opts.stealing_parts(domain, threads);
-            if parts.count() > 1 {
-                return self.exec_fragment_morsels(cp, frag, values, profile, &parts);
-            }
-        }
-        // Chunk boundaries (in runs for folds, elements for maps).
-        let chunks: Vec<(usize, usize)> = match &frag.run {
-            RunStructure::Map | RunStructure::Uniform(_) => {
-                let run_len = match frag.run {
-                    RunStructure::Uniform(l) => l,
-                    _ => 1,
-                };
-                let total_runs = if domain == 0 {
-                    0
-                } else {
-                    domain.div_ceil(run_len)
-                };
-                // Tiny domains run serially here too: a pool handoff
-                // costs more than the scan (the same
-                // `min_parallel_domain` gate the morsel paths apply).
-                // Parallel chunk counts are over-decomposed by the
-                // steal grain like every other morsel path.
-                let workers = if threads > 1 && self.opts.worth_partitioning(domain) {
-                    threads
-                        .saturating_mul(self.opts.steal_grain.max(1))
-                        .min(total_runs.max(1))
-                } else {
-                    1
-                };
-                let per = total_runs.div_ceil(workers.max(1)).max(1);
-                (0..workers)
-                    .map(|w| (w * per, ((w + 1) * per).min(total_runs)))
-                    .filter(|(s, e)| s < e)
-                    .collect()
-            }
-            RunStructure::Single | RunStructure::Dynamic(_) => {
-                if domain == 0 {
-                    vec![]
-                } else {
-                    vec![(0, 1)]
-                }
-            }
-        };
-        if chunks.len() > 1 {
-            note_partitions(chunks.len());
-        }
-
-        let sources: &[Option<Arc<MatVec>>] = values;
-        let run_worker = |run_range: (usize, usize)| -> (Vec<Column>, EventProfile) {
-            self.run_chunk(cp, frag, run_range, sources)
-        };
-
-        let mut per_chunk: Vec<Vec<Column>> = Vec::with_capacity(chunks.len());
-        if chunks.len() <= 1 {
-            for c in &chunks {
-                let (segs, prof) = run_worker(*c);
-                profile.merge(&prof);
-                per_chunk.push(segs);
-            }
-        } else {
-            let run_worker = &run_worker;
-            let results = run_on_pool(
-                chunks
+        // and prefix scans do not) — a verified program property the
+        // analyzer recorded at prepare. Dynamic run boundaries are data,
+        // so those fragments are one morsel.
+        let (unit, mergeable) = match &frag.run {
+            RunStructure::Map => (1, true),
+            RunStructure::Uniform(l) => (*l, true),
+            RunStructure::Single => (
+                1,
+                frag.actions
                     .iter()
-                    .map(|c| {
-                        let c = *c;
-                        move || run_worker(c)
-                    })
-                    .collect(),
-            );
-            for (segs, prof) in results {
-                profile.merge(&prof);
-                per_chunk.push(segs);
-            }
-        }
-
-        // Stitch segments and wrap per statement.
-        let run_len = match frag.run {
-            RunStructure::Uniform(l) => l,
-            RunStructure::Map => 1,
-            _ => domain.max(1),
+                    .all(|a| cp.action_verdict(frag, a).morsel_mergeable()),
+            ),
+            RunStructure::Dynamic(_) => (1, false),
         };
-        for (oi, spec) in frag.outputs.iter().enumerate() {
-            let full_len = full_len_of(spec.layout, domain, run_len);
-            let mut col = Column::empties(spec.ty, full_len);
-            let mut off = 0usize;
-            for segs in &per_chunk {
-                let seg = &segs[oi];
-                for i in 0..seg.len() {
-                    match seg.get(i) {
-                        Some(v) => col.set(off + i, v),
-                        None => col.clear(off + i),
-                    }
-                }
-                off += seg.len();
-            }
-            if self.opts.count_events {
-                profile.write_bytes += (full_len * spec.ty.byte_width()) as u64;
-            }
-            let bounds = if chunks.len() > 1 && matches!(spec.layout, Layout::Full) {
-                // Record the chunk fence posts (in elements) this output
-                // was produced across — the §2.3 layout metadata.
-                let chunk_run_len = match frag.run {
-                    RunStructure::Uniform(l) => l,
-                    _ => 1,
-                };
-                let mut b: Vec<usize> = chunks.iter().map(|(s, _)| s * chunk_run_len).collect();
-                b.push(domain);
-                Some(b)
-            } else {
-                None
-            };
-            attach_fragment_output(values, spec, col, full_len, run_len, domain, bounds);
-        }
-        Ok(())
-    }
-
-    /// Execute a global-run fragment partition-parallel: fan the domain's
-    /// morsels across a scoped worker pool, then merge partials in morsel
-    /// order so the result is bit-identical to the serial path.
-    ///
-    /// Merge rules per output:
-    /// * `Write` (elementwise) — stitch the morsel segments by offset;
-    /// * `SelectEmit` — concatenate each morsel's compacted position
-    ///   prefix (positions are emitted in ascending order within a
-    ///   morsel, so the concatenation is exactly the serial ordering),
-    ///   ε-padding the tail — the §2.2 padding argument is what makes
-    ///   the morsels independent;
-    /// * `FoldAggAct` — combine the per-morsel accumulators left-to-right
-    ///   (integer folds only reach this path, so the regrouping is exact).
-    fn exec_fragment_morsels(
-        &self,
-        cp: &CompiledProgram,
-        frag: &Fragment,
-        values: &mut [Option<Arc<MatVec>>],
-        profile: &mut EventProfile,
-        parts: &Partitioning,
-    ) -> Result<()> {
-        let domain = frag.domain;
-        let morsels = parts.morsels();
-        note_partitions(morsels.len());
         let sources: &[Option<Arc<MatVec>>] = values;
-        let run_worker = |m: Morsel| -> (Vec<Column>, Vec<Option<ScalarValue>>, EventProfile) {
-            self.run_morsel(cp, frag, (m.start, m.end), sources)
-        };
-        let run_worker = &run_worker;
-        let results: Vec<(Vec<Column>, Vec<Option<ScalarValue>>, EventProfile)> = run_on_pool(
-            morsels
-                .iter()
-                .map(|m| {
-                    let m = *m;
-                    move || run_worker(m)
-                })
-                .collect(),
-        );
-        for (_, _, prof) in &results {
+        let partials = self.fan_out(domain, unit, mergeable, |extent| {
+            (extent.start, self.run_chunk(cp, frag, extent, sources))
+        });
+        for (_, (_, prof)) in &partials {
             profile.merge(prof);
         }
+        // The morsel fence posts (in elements) the outputs were produced
+        // across — the §2.3 layout metadata.
+        let bounds: Option<Vec<usize>> = (partials.len() > 1)
+            .then(|| partials.iter().map(|(s, _)| *s).chain([domain]).collect());
 
-        let run_len = domain.max(1); // Single: the whole domain is one run.
-        for (oi, spec) in frag.outputs.iter().enumerate() {
-            let fold_action = frag.actions.iter().enumerate().find_map(|(ai, a)| match a {
-                Action::FoldAggAct { out, agg, .. } if *out == oi => Some((ai, *agg)),
-                _ => None,
-            });
-            let is_select = frag
-                .actions
-                .iter()
-                .any(|a| matches!(a, Action::SelectEmit { out, .. } if *out == oi));
+        let run_len = run_len_of(&frag.run, domain);
+        // Each action produces exactly one output, in output order.
+        for action in &frag.actions {
+            let spec = &frag.outputs[action.out()];
             let full_len = full_len_of(spec.layout, domain, run_len);
             let mut col = Column::empties(spec.ty, full_len);
-            if let Some((ai, agg)) = fold_action {
-                let mut acc: Option<ScalarValue> = None;
-                for (_, accs, _) in &results {
-                    if let Some(v) = accs[ai] {
-                        acc = Some(match acc {
-                            None => v,
-                            Some(a) => combine(agg, a, v),
-                        });
+            let segs = partials.iter().map(|(_, (segs, _))| &segs[action.out()]);
+            match (&frag.run, action) {
+                // Fold-combine the morsels' accumulators left to right
+                // (only associative folds split, so regrouping is exact).
+                (RunStructure::Single, Action::FoldAggAct { agg, .. }) => {
+                    let mut acc = None;
+                    for v in segs.filter_map(|seg| seg.get(0)) {
+                        accumulate(*agg, &mut acc, v);
+                    }
+                    if let Some(v) = acc {
+                        col.set(0, v);
                     }
                 }
-                if let Some(v) = acc {
-                    col.set(0, v);
+                // Concatenate each morsel's compact position prefix
+                // (positions ascend within a morsel, so this is the
+                // serial order); the tail stays ε.
+                (RunStructure::Single, Action::SelectEmit { .. }) => {
+                    let positions = segs.flat_map(|seg| (0..seg.len()).map_while(|i| seg.get(i)));
+                    for (slot, p) in positions.enumerate() {
+                        col.set(slot, p);
+                    }
                 }
-            } else if is_select {
-                let mut off = 0usize;
-                for (segs, _, _) in &results {
-                    let seg = &segs[oi];
-                    for i in 0..seg.len() {
-                        match seg.get(i) {
-                            Some(v) => {
-                                col.set(off, v);
-                                off += 1;
+                _ => {
+                    let mut off = 0;
+                    for seg in segs {
+                        for i in 0..seg.len() {
+                            match seg.get(i) {
+                                Some(v) => col.set(off + i, v),
+                                None => col.clear(off + i),
                             }
-                            // Positions are emitted as a compact prefix;
-                            // the first ε ends this morsel's output.
-                            None => break,
                         }
+                        off += seg.len();
                     }
-                }
-            } else {
-                let mut off = 0usize;
-                for (segs, _, _) in &results {
-                    let seg = &segs[oi];
-                    for i in 0..seg.len() {
-                        match seg.get(i) {
-                            Some(v) => col.set(off + i, v),
-                            None => col.clear(off + i),
-                        }
-                    }
-                    off += seg.len();
                 }
             }
             if self.opts.count_events {
                 profile.write_bytes += (full_len * spec.ty.byte_width()) as u64;
             }
-            let bounds = matches!(spec.layout, Layout::Full).then(|| parts.boundaries());
+            let bounds = bounds.clone().filter(|_| spec.layout == Layout::Full);
             attach_fragment_output(values, spec, col, full_len, run_len, domain, bounds);
         }
         Ok(())
     }
 
-    /// Execute one morsel of a global-run fragment: the serial `step`
-    /// loop over `[s, e)` with morsel-local segments, accumulators and
-    /// cursors. Fold partials come back separately (the caller merges
-    /// them); selection output is the morsel's compact position prefix.
-    fn run_morsel(
-        &self,
-        cp: &CompiledProgram,
-        frag: &Fragment,
-        (s, e): (usize, usize),
-        sources: &[Option<Arc<MatVec>>],
-    ) -> (Vec<Column>, Vec<Option<ScalarValue>>, EventProfile) {
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
-        let mut segs: Vec<Column> = frag
-            .outputs
-            .iter()
-            .map(|spec| match spec.layout {
-                Layout::Full => Column::empties(spec.ty, e - s),
-                // Dense outputs are fold results; the accumulators carry
-                // them, so the segment stays empty.
-                Layout::Dense => Column::empties(spec.ty, 0),
-            })
-            .collect();
-        let mut accs: Vec<Option<ScalarValue>> = vec![None; frag.actions.len()];
-        let mut cursors: Vec<usize> = vec![s; frag.actions.len()];
-        for i in s..e {
-            self.step(frag, i, s, &mut segs, &mut accs, &mut cursors, &mut env);
-        }
-        // Fix predicated selection tails, as the serial run flush does.
-        for (ai, action) in frag.actions.iter().enumerate() {
-            if let Action::SelectEmit { out, .. } = action {
-                if self.opts.predicated_select && cursors[ai] < e {
-                    segs[*out].clear(cursors[ai] - s);
-                }
-            }
-        }
-        let profile = env.profile;
-        (segs, accs, profile)
-    }
-
-    /// Execute one chunk of runs, producing output segments.
+    /// Run one extent of a fragment's domain (the whole domain, or one
+    /// morsel of it) into the extent's output segments.
+    ///
+    /// Run boundaries inside the extent — every element of a map, every
+    /// `l` elements of uniform runs, each change of a dynamic run's
+    /// control value; a single global run has none — flush the closing
+    /// run ([`Executor::flush`]). A single run's extent is a partial: its
+    /// fold slot holds the extent's accumulator and its positions form a
+    /// compact prefix, which [`Executor::exec_fragment`] merges.
     fn run_chunk(
         &self,
         cp: &CompiledProgram,
         frag: &Fragment,
-        (run_s, run_e): (usize, usize),
+        extent: Range<usize>,
         sources: &[Option<Arc<MatVec>>],
     ) -> (Vec<Column>, EventProfile) {
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
-        let domain = frag.domain;
-        let run_len = match frag.run {
-            RunStructure::Uniform(l) => l,
-            RunStructure::Map => 1,
-            _ => domain.max(1),
-        };
-        let elem_s = run_s * run_len;
-        let elem_e = (run_e * run_len).min(domain);
-
+        let (s, e) = (extent.start, extent.end);
+        let mut env = self.env(cp, sources);
+        let run_len = run_len_of(&frag.run, frag.domain);
         let mut segs: Vec<Column> = frag
             .outputs
             .iter()
-            .map(|spec| match spec.layout {
-                Layout::Full => Column::empties(spec.ty, elem_e - elem_s),
-                Layout::Dense => Column::empties(spec.ty, run_e - run_s),
-            })
+            .map(|spec| Column::empties(spec.ty, full_len_of(spec.layout, e - s, run_len)))
             .collect();
-
-        match &frag.run {
-            RunStructure::Map | RunStructure::Uniform(_) | RunStructure::Single => {
-                let mut accs: Vec<Option<ScalarValue>> = vec![None; frag.actions.len()];
-                let mut cursors: Vec<usize> = vec![0; frag.actions.len()];
-                for r in run_s..run_e {
-                    let (s, e) = match frag.run {
-                        RunStructure::Single => (0, domain),
-                        _ => (r * run_len, ((r + 1) * run_len).min(domain)),
-                    };
-                    for a in accs.iter_mut() {
-                        *a = None;
-                    }
-                    for (ai, _) in frag.actions.iter().enumerate() {
-                        cursors[ai] = s;
-                    }
-                    for i in s..e {
-                        self.step(
-                            frag,
-                            i,
-                            elem_s,
-                            &mut segs,
-                            &mut accs,
-                            &mut cursors,
-                            &mut env,
-                        );
-                    }
-                    // Flush folds at run slot, fix predicated tails.
-                    for (ai, action) in frag.actions.iter().enumerate() {
-                        match action {
-                            Action::FoldAggAct { out, .. } => {
-                                if let Some(v) = accs[ai] {
-                                    segs[*out].set(r - run_s, v);
-                                }
-                            }
-                            Action::SelectEmit { out, .. }
-                                if self.opts.predicated_select && cursors[ai] < e =>
-                            {
-                                segs[*out].clear(cursors[ai] - elem_s);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            RunStructure::Dynamic(ctrl) => {
-                let mut accs: Vec<Option<ScalarValue>> = vec![None; frag.actions.len()];
-                let mut cursors: Vec<usize> = vec![0; frag.actions.len()];
-                let mut run_start = 0usize;
-                let mut current: Option<ScalarValue> = None;
-                let flush = |segs: &mut Vec<Column>,
-                             accs: &mut Vec<Option<ScalarValue>>,
-                             run_start: usize,
-                             actions: &[Action]| {
-                    for (ai, action) in actions.iter().enumerate() {
-                        if let Action::FoldAggAct { out, .. } = action {
-                            if let Some(v) = accs[ai] {
-                                segs[*out].set(run_start, v);
-                            }
-                            accs[ai] = None;
-                        }
-                    }
-                };
-                for i in 0..domain {
+        let mut accs: Vec<Option<ScalarValue>> = vec![None; frag.actions.len()];
+        let mut cursors: Vec<usize> = vec![s; frag.actions.len()];
+        let mut run_start = s;
+        let mut current: Option<ScalarValue> = None;
+        for i in s..e {
+            let boundary = match &frag.run {
+                RunStructure::Map | RunStructure::Uniform(_) => i % run_len == 0,
+                RunStructure::Single => false,
+                RunStructure::Dynamic(ctrl) => {
                     let cv = ctrl.eval(i, &mut env);
-                    if i == 0 {
-                        current = cv;
-                    } else if cv != current {
-                        flush(&mut segs, &mut accs, run_start, &frag.actions);
-                        run_start = i;
-                        current = cv;
-                        for (ai, _) in frag.actions.iter().enumerate() {
-                            cursors[ai] = i;
-                        }
-                    }
-                    self.step(frag, i, 0, &mut segs, &mut accs, &mut cursors, &mut env);
+                    std::mem::replace(&mut current, cv) != cv
                 }
-                if domain > 0 {
-                    flush(&mut segs, &mut accs, run_start, &frag.actions);
-                }
+            };
+            if boundary && i > s {
+                self.flush(frag, (run_start, i), s, &mut segs, &mut accs, &cursors);
+                run_start = i;
+                cursors.fill(i);
             }
+            self.step(frag, i, s, &mut segs, &mut accs, &mut cursors, &mut env);
         }
-        let profile = env.profile;
-        (segs, profile)
+        if e > s {
+            self.flush(frag, (run_start, e), s, &mut segs, &mut accs, &cursors);
+        }
+        (segs, env.profile)
+    }
+
+    /// Close the run `[rs, re)` of an extent starting at `base`: store
+    /// each fold's accumulator at the run's slot, clear the slot a
+    /// predicated selection's cursor stopped at (its unconditional write
+    /// was not taken), and reset every accumulator for the next run.
+    fn flush(
+        &self,
+        frag: &Fragment,
+        (rs, re): (usize, usize),
+        base: usize,
+        segs: &mut [Column],
+        accs: &mut [Option<ScalarValue>],
+        cursors: &[usize],
+    ) {
+        for (ai, action) in frag.actions.iter().enumerate() {
+            match action {
+                Action::FoldAggAct { out, .. } => {
+                    if let Some(v) = accs[ai] {
+                        let slot = match frag.outputs[*out].layout {
+                            Layout::Full => rs - base,
+                            Layout::Dense => (rs - base) / run_len_of(&frag.run, frag.domain),
+                        };
+                        segs[*out].set(slot, v);
+                    }
+                }
+                Action::SelectEmit { out, .. }
+                    if self.opts.predicated_select && cursors[ai] < re =>
+                {
+                    segs[*out].clear(cursors[ai] - base);
+                }
+                _ => {}
+            }
+            accs[ai] = None;
+        }
     }
 
     /// Process one element against every action of the fragment.
@@ -801,22 +607,13 @@ impl Executor {
                     agg, expr, out_ty, ..
                 } => {
                     if let Some(v) = expr.eval(i, env) {
-                        let v = v.cast(*out_ty);
-                        accs[ai] = Some(match accs[ai] {
-                            None => v,
-                            Some(a) => combine(*agg, a, v),
-                        });
+                        accumulate(*agg, &mut accs[ai], v.cast(*out_ty));
                         count_acc(env, *out_ty);
                     }
                 }
                 Action::FoldScanAct { out, expr, out_ty } => {
                     if let Some(v) = expr.eval(i, env) {
-                        let v = v.cast(*out_ty);
-                        let next = match accs[ai] {
-                            None => v,
-                            Some(a) => combine(AggKind::Sum, a, v),
-                        };
-                        accs[ai] = Some(next);
+                        let next = accumulate(AggKind::Sum, &mut accs[ai], v.cast(*out_ty));
                         segs[*out].set(i - elem_base, next);
                         count_acc(env, *out_ty);
                     }
@@ -865,81 +662,31 @@ impl Executor {
                 pos,
             } => {
                 let sources: &[Option<Arc<MatVec>>] = values;
-                let threads = self.opts.effective_threads();
+                // The analyzer classified scatters as SerialApply: the
+                // position and value expressions (the gather-heavy build
+                // side of joins) evaluate per morsel, and the writes apply
+                // in morsel order — the serial last-write-wins semantics,
+                // bit for bit.
+                let partials = self.fan_out(
+                    *domain,
+                    1,
+                    cp.verdict(*stmt).eval_parallel_apply_serial(),
+                    |extent| self.scatter_eval_range(cp, cols, pos, *out_len, extent, sources),
+                );
                 let mut out_cols: Vec<Column> = cols
                     .iter()
                     .map(|(_, ty, _)| Column::empties(*ty, *out_len))
                     .collect();
-                // The analyzer classified scatters as SerialApply: inputs
-                // may be evaluated morsel-parallel, but the cross-morsel
-                // writes must land serially in morsel order.
-                let parts = if threads > 1
-                    && self.opts.worth_partitioning(*domain)
-                    && cp.verdict(*stmt).eval_parallel_apply_serial()
-                {
-                    self.opts.stealing_parts(*domain, threads)
-                } else {
-                    Partitioning::for_len(*domain, 1)
-                };
-                if parts.count() > 1 {
-                    // The build side of joins: evaluate the position and
-                    // value expressions (the gather-heavy half) morsel-
-                    // parallel, then apply the writes serially in morsel
-                    // order — preserving the serial last-write-wins
-                    // semantics bit for bit.
-                    note_partitions(parts.count());
-                    let run_worker = |m: Morsel| -> (Vec<usize>, Vec<Column>, EventProfile) {
-                        self.scatter_eval_range(cp, cols, pos, *out_len, (m.start, m.end), sources)
-                    };
-                    let run_worker = &run_worker;
-                    let results: Vec<_> = run_on_pool(
-                        parts
-                            .morsels()
-                            .iter()
-                            .map(|m| {
-                                let m = *m;
-                                move || run_worker(m)
-                            })
-                            .collect(),
-                    );
-                    for (hits, vals, prof) in &results {
-                        profile.merge(prof);
-                        for (k, &p) in hits.iter().enumerate() {
-                            for (ci, vcol) in vals.iter().enumerate() {
-                                match vcol.get(k) {
-                                    Some(v) => out_cols[ci].set(p, v),
-                                    None => out_cols[ci].clear(p),
-                                }
+                for (hits, vals, prof) in &partials {
+                    profile.merge(prof);
+                    for (k, &p) in hits.iter().enumerate() {
+                        for (col, vcol) in out_cols.iter_mut().zip(vals) {
+                            match vcol.get(k) {
+                                Some(v) => col.set(p, v),
+                                None => col.clear(p),
                             }
                         }
                     }
-                } else {
-                    let mut env = Env::new(
-                        sources,
-                        self.opts.count_events,
-                        cp.branch_sites,
-                        cp.gather_sites,
-                    )
-                    .with_predication(self.opts.predicated_select);
-                    for i in 0..*domain {
-                        let Some(p) = pos.eval(i, &mut env) else {
-                            continue;
-                        };
-                        let p = p.as_i64();
-                        if p < 0 || p as usize >= *out_len {
-                            continue;
-                        }
-                        for (ci, (_, _, expr)) in cols.iter().enumerate() {
-                            match expr.eval(i, &mut env) {
-                                Some(v) => out_cols[ci].set(p as usize, v),
-                                None => out_cols[ci].clear(p as usize),
-                            }
-                        }
-                        if env.counting {
-                            env.profile.rand_writes += cols.len() as u64;
-                        }
-                    }
-                    profile.merge(&env.profile);
                 }
                 profile.work_items += *domain as u64;
                 profile.elements += *domain as u64;
@@ -960,13 +707,7 @@ impl Executor {
                 pivot_len,
             } => {
                 let sources: &[Option<Arc<MatVec>>] = values;
-                let mut env = Env::new(
-                    sources,
-                    self.opts.count_events,
-                    cp.branch_sites,
-                    cp.gather_sites,
-                )
-                .with_predication(self.opts.predicated_select);
+                let mut env = self.env(cp, sources);
                 let piv = eval_pivots(pivot, *pivot_len, &mut env);
                 let keys: Vec<Option<i64>> = (0..*domain)
                     .map(|i| key.eval(i, &mut env).map(to_key))
@@ -995,80 +736,35 @@ impl Executor {
                 folds,
             } => {
                 let sources: &[Option<Arc<MatVec>>] = values;
-                let n_chunks = domain.div_ceil(*chunk);
-                let threads = self.opts.effective_threads();
                 // Chunks are already independent (each fills its own
                 // cache-resident position buffer), so the morsel unit is
                 // a run of whole chunks — provided every absorbed fold's
                 // partials combine associatively per the analyzer's
-                // verdict (float sums do not and stay serial).
-                let par_ok = threads > 1
-                    && n_chunks > 1
-                    && self.opts.worth_partitioning(*domain)
-                    && folds
-                        .iter()
-                        .all(|f| cp.verdict(f.stmt).combines_associatively());
-                let (accs, prof) = if par_ok {
-                    let parts = self.opts.stealing_parts(n_chunks, threads);
-                    note_partitions(parts.count());
-                    let run_worker = |m: Morsel| -> (Vec<Option<ScalarValue>>, EventProfile) {
-                        self.vec_select_chunks(
-                            cp,
-                            *domain,
-                            *chunk,
-                            sel.as_ref(),
-                            *site,
-                            folds,
-                            (m.start, m.end),
-                            sources,
-                        )
-                    };
-                    let run_worker = &run_worker;
-                    let results: Vec<_> = run_on_pool(
-                        parts
-                            .morsels()
-                            .iter()
-                            .map(|m| {
-                                let m = *m;
-                                move || run_worker(m)
-                            })
-                            .collect(),
-                    );
-                    let mut accs: Vec<Option<ScalarValue>> = vec![None; folds.len()];
-                    let mut prof = EventProfile::default();
-                    for (partial, p) in results {
-                        for (fi, v) in partial.into_iter().enumerate() {
-                            if let Some(v) = v {
-                                accs[fi] = Some(match accs[fi] {
-                                    None => v,
-                                    Some(a) => combine(folds[fi].agg, a, v),
-                                });
-                            }
+                // verdict (float sums do not and stay one morsel).
+                let mergeable = folds
+                    .iter()
+                    .all(|f| cp.verdict(f.stmt).combines_associatively());
+                let partials = self.fan_out(*domain, *chunk, mergeable, |extent| {
+                    self.vec_select_chunks(cp, *chunk, sel, *site, folds, extent, sources)
+                });
+                let mut accs: Vec<Option<ScalarValue>> = vec![None; folds.len()];
+                for (partial, prof) in &partials {
+                    profile.merge(prof);
+                    for ((acc, f), v) in accs.iter_mut().zip(folds).zip(partial) {
+                        if let Some(v) = v {
+                            accumulate(f.agg, acc, *v);
                         }
-                        prof.merge(&p);
                     }
-                    (accs, prof)
-                } else {
-                    self.vec_select_chunks(
-                        cp,
-                        *domain,
-                        *chunk,
-                        sel.as_ref(),
-                        *site,
-                        folds,
-                        (0, n_chunks),
-                        sources,
-                    )
-                };
-                profile.merge(&prof);
+                }
+                let n_chunks = domain.div_ceil(*chunk);
                 profile.work_items += n_chunks as u64;
                 profile.elements += *domain as u64;
                 // Chunk-local buffers fill sequentially: parallelism is
                 // capped at the number of chunks (paper §5.3).
                 profile.max_par = n_chunks as u64;
-                for (fi, f) in folds.iter().enumerate() {
+                for (f, acc) in folds.iter().zip(accs) {
                     let mut col = Column::empties(f.out_ty, 1);
-                    if let Some(v) = accs[fi] {
+                    if let Some(v) = acc {
                         col.set(0, v);
                     }
                     let mut sv = StructuredVector::with_len(1);
@@ -1084,36 +780,26 @@ impl Executor {
         }
     }
 
-    /// One chunk-run of a vectorized selection: loop 1 emits qualifying
-    /// positions into the chunk-local buffer, loop 2 resolves them and
-    /// accumulates. Shared by the serial path (one run covering every
-    /// chunk) and the morsel workers (a run of whole chunks each), so the
-    /// two paths cannot drift.
+    /// One extent of a vectorized selection, a run of whole chunks: per
+    /// chunk, loop 1 emits qualifying positions into the chunk-local
+    /// buffer, loop 2 resolves them and accumulates.
     #[allow(clippy::too_many_arguments)]
     fn vec_select_chunks(
         &self,
         cp: &CompiledProgram,
-        domain: usize,
         chunk: usize,
         sel: &Expr,
         site: usize,
         folds: &[VsFold],
-        (chunk_s, chunk_e): (usize, usize),
+        extent: Range<usize>,
         sources: &[Option<Arc<MatVec>>],
     ) -> (Vec<Option<ScalarValue>>, EventProfile) {
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
+        let mut env = self.env(cp, sources);
         let mut accs: Vec<Option<ScalarValue>> = vec![None; folds.len()];
         let mut last_pos: Vec<i64> = vec![i64::MIN / 2; folds.len()];
         let mut posbuf: Vec<usize> = vec![0; chunk];
-        for ci in chunk_s..chunk_e {
-            let c0 = ci * chunk;
-            let c1 = (c0 + chunk).min(domain);
+        for c0 in extent.clone().step_by(chunk) {
+            let c1 = (c0 + chunk).min(extent.end);
             // Loop 1: emit qualifying positions into the chunk-local
             // buffer (cache resident).
             let mut count = 0usize;
@@ -1151,11 +837,7 @@ impl Executor {
                 for (fi, f) in folds.iter().enumerate() {
                     let src = sources[f.src.index()].as_ref().expect("vs source").clone();
                     if let Some(v) = src.get(f.src_col, p) {
-                        let v = v.cast(f.out_ty);
-                        accs[fi] = Some(match accs[fi] {
-                            None => v,
-                            Some(a) => combine(f.agg, a, v),
-                        });
+                        accumulate(f.agg, &mut accs[fi], v.cast(f.out_ty));
                         if env.counting {
                             // Monotone positions: near-previous is a
                             // cache hit, jumps are random accesses.
@@ -1176,31 +858,25 @@ impl Executor {
     }
 
     /// Evaluate a scatter's position and value expressions over one
-    /// morsel, compacting the qualifying rows. The caller applies the
-    /// writes serially in morsel order (input order), so conflicting
-    /// positions resolve exactly as the serial loop would.
+    /// extent, compacting the in-bounds rows. The caller applies the
+    /// writes in extent (= input) order, so conflicting positions resolve
+    /// exactly as one serial loop would.
     fn scatter_eval_range(
         &self,
         cp: &CompiledProgram,
-        cols: &[(voodoo_core::KeyPath, ScalarType, Arc<Expr>)],
+        cols: &[(KeyPath, ScalarType, Arc<Expr>)],
         pos: &Expr,
         out_len: usize,
-        (s, e): (usize, usize),
+        extent: Range<usize>,
         sources: &[Option<Arc<MatVec>>],
     ) -> (Vec<usize>, Vec<Column>, EventProfile) {
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
+        let mut env = self.env(cp, sources);
         let mut hits: Vec<usize> = Vec::new();
         let mut vals: Vec<Column> = cols
             .iter()
             .map(|(_, ty, _)| Column::empties(*ty, 0))
             .collect();
-        for i in s..e {
+        for i in extent {
             let Some(p) = pos.eval(i, &mut env) else {
                 continue;
             };
@@ -1219,12 +895,10 @@ impl Executor {
         (hits, vals, env.profile)
     }
 
-    /// Partial grouped aggregation over one element range: per-bucket
-    /// counts, the bucket's (single) key, and per-fold accumulators.
-    /// Shared by the serial fused path (one range covering the domain)
-    /// and the morsel workers; `mismatch` reports a bucket holding more
-    /// than one key run, which sends the whole unit to the generic
-    /// fallback.
+    /// Partial grouped aggregation over one extent: per-bucket counts,
+    /// the bucket's (single) key, and per-fold accumulators. `mismatch`
+    /// reports a bucket holding more than one key run, which sends the
+    /// whole unit to the generic fallback.
     #[allow(clippy::too_many_arguments)]
     fn group_agg_range(
         &self,
@@ -1233,22 +907,16 @@ impl Executor {
         folds: &[GroupFold],
         piv: &[i64],
         nb: usize,
-        (s, e): (usize, usize),
+        extent: Range<usize>,
         sources: &[Option<Arc<MatVec>>],
     ) -> GroupPartial {
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
+        let mut env = self.env(cp, sources);
         let mut counts = vec![0usize; nb];
         let mut first_key: Vec<Option<Option<i64>>> = vec![None; nb];
         let mut accs: Vec<Vec<Option<ScalarValue>>> =
             folds.iter().map(|_| vec![None; nb]).collect();
         let mut mismatch = false;
-        for i in s..e {
+        for i in extent {
             let kv = key.eval(i, &mut env).map(to_key);
             let b = bucket_of(piv, kv);
             match &first_key[b] {
@@ -1262,11 +930,7 @@ impl Executor {
             counts[b] += 1;
             for (fi, f) in folds.iter().enumerate() {
                 if let Some(v) = f.val.eval(i, &mut env) {
-                    let v = v.cast(f.out_ty);
-                    accs[fi][b] = Some(match accs[fi][b] {
-                        None => v,
-                        Some(a) => combine(f.agg, a, v),
-                    });
+                    accumulate(f.agg, &mut accs[fi][b], v.cast(f.out_ty));
                     count_acc(&mut env, f.out_ty);
                 }
             }
@@ -1285,10 +949,10 @@ impl Executor {
 
     /// Virtual scatter (§3.1.3): one accumulation pass over dense buckets,
     /// with a runtime guard that each bucket holds a single key run (else
-    /// it falls back to the generic scatter + dynamic fold). With morsel
-    /// parallelism the pass runs as per-morsel partial aggregations
-    /// (partial per-partition tables) merged in morsel order; a bucket
-    /// whose key disagrees *across* morsels is a mismatch too.
+    /// it falls back to the generic scatter + dynamic fold). The pass
+    /// runs as per-morsel partial aggregations (partial per-partition
+    /// tables) combined in morsel order; a bucket whose key disagrees
+    /// *across* morsels is a mismatch too.
     fn exec_group_agg(
         &self,
         cp: &CompiledProgram,
@@ -1303,8 +967,6 @@ impl Executor {
             pivot,
             pivot_len,
             folds,
-            scatter_cols,
-            key_col,
             ..
         } = bulk
         else {
@@ -1312,13 +974,7 @@ impl Executor {
         };
         let sources: &[Option<Arc<MatVec>>] = values;
         let piv = {
-            let mut env = Env::new(
-                sources,
-                self.opts.count_events,
-                cp.branch_sites,
-                cp.gather_sites,
-            )
-            .with_predication(self.opts.predicated_select);
+            let mut env = self.env(cp, sources);
             let piv = eval_pivots(pivot, *pivot_len, &mut env);
             profile.merge(&env.profile);
             piv
@@ -1330,89 +986,43 @@ impl Executor {
             folds.iter().map(|_| vec![None; nb]).collect();
         let mut mismatch = *out_len != *domain;
         if !mismatch {
-            let threads = self.opts.effective_threads();
             // Cross-morsel combination of per-bucket accumulators is only
             // bit-identical when the analyzer proved every fold
-            // associative (integer Sum/Min/Max; float folds stay serial).
-            let par_ok = threads > 1
-                && self.opts.worth_partitioning(*domain)
-                && folds
-                    .iter()
-                    .all(|f| cp.verdict(f.stmt).combines_associatively());
-            let parts = if par_ok {
-                self.opts.stealing_parts(*domain, threads)
-            } else {
-                Partitioning::for_len(*domain, 1)
-            };
-            if parts.count() > 1 {
-                note_partitions(parts.count());
-                let key_expr: &Expr = key.as_ref();
-                let piv_ref: &[i64] = &piv;
-                let run_worker = |m: Morsel| -> GroupPartial {
-                    self.group_agg_range(
-                        cp,
-                        key_expr,
-                        folds,
-                        piv_ref,
-                        nb,
-                        (m.start, m.end),
-                        sources,
-                    )
-                };
-                let run_worker = &run_worker;
-                let partials: Vec<GroupPartial> = run_on_pool(
-                    parts
-                        .morsels()
-                        .iter()
-                        .map(|m| {
-                            let m = *m;
-                            move || run_worker(m)
-                        })
-                        .collect(),
-                );
-                for p in &partials {
-                    profile.merge(&p.profile);
-                }
-                for p in partials {
-                    mismatch |= p.mismatch;
-                    if mismatch {
-                        break;
-                    }
-                    for b in 0..nb {
-                        if let Some(kv) = p.first_key[b] {
-                            match &first_key[b] {
-                                None => first_key[b] = Some(kv),
-                                Some(prev) if *prev != kv => mismatch = true,
-                                _ => {}
-                            }
-                        }
-                        counts[b] += p.counts[b];
-                    }
-                    for (fi, partial_accs) in p.accs.into_iter().enumerate() {
-                        for (b, v) in partial_accs.into_iter().enumerate() {
-                            if let Some(v) = v {
-                                accs[fi][b] = Some(match accs[fi][b] {
-                                    None => v,
-                                    Some(a) => combine(folds[fi].agg, a, v),
-                                });
-                            }
-                        }
-                    }
-                    if mismatch {
-                        break;
-                    }
-                }
-            } else {
-                let p =
-                    self.group_agg_range(cp, key.as_ref(), folds, &piv, nb, (0, *domain), sources);
+            // associative (integer Sum/Min/Max; float folds stay one
+            // morsel).
+            let mergeable = folds
+                .iter()
+                .all(|f| cp.verdict(f.stmt).combines_associatively());
+            let partials = self.fan_out(*domain, 1, mergeable, |extent| {
+                self.group_agg_range(cp, key, folds, &piv, nb, extent, sources)
+            });
+            for p in &partials {
                 profile.merge(&p.profile);
+            }
+            for p in partials {
                 mismatch |= p.mismatch;
-                counts = p.counts;
-                first_key = p.first_key;
-                accs = p.accs;
+                if mismatch {
+                    break;
+                }
+                for b in 0..nb {
+                    if let Some(kv) = p.first_key[b] {
+                        match first_key[b] {
+                            None => first_key[b] = Some(kv),
+                            Some(prev) if prev != kv => mismatch = true,
+                            _ => {}
+                        }
+                    }
+                    counts[b] += p.counts[b];
+                }
+                for ((acc, f), partial) in accs.iter_mut().zip(folds).zip(p.accs) {
+                    for (a, v) in acc.iter_mut().zip(partial) {
+                        if let Some(v) = v {
+                            accumulate(f.agg, a, v);
+                        }
+                    }
+                }
             }
         }
-        let _ = &first_key;
         profile.work_items += *domain as u64;
         profile.elements += *domain as u64;
         profile.max_par = (*domain as u64 / 1024).max(1);
@@ -1426,7 +1036,6 @@ impl Executor {
             starts[b] = acc;
             acc += c;
         }
-        let _ = (scatter_cols, key_col);
         for (fi, f) in folds.iter().enumerate() {
             let mut col = Column::empties(f.out_ty, nb);
             for (b, v) in accs[fi].iter().enumerate() {
@@ -1469,13 +1078,7 @@ impl Executor {
             unreachable!()
         };
         let sources: &[Option<Arc<MatVec>>] = values;
-        let mut env = Env::new(
-            sources,
-            self.opts.count_events,
-            cp.branch_sites,
-            cp.gather_sites,
-        )
-        .with_predication(self.opts.predicated_select);
+        let mut env = self.env(cp, sources);
         let piv = eval_pivots(pivot, *pivot_len, &mut env);
         let keys: Vec<Option<i64>> = (0..*domain)
             .map(|i| key.eval(i, &mut env).map(to_key))
@@ -1522,17 +1125,11 @@ impl Executor {
                     current = cv;
                 }
                 if let Some(v) = out_cols[f.val_col].get(i) {
-                    let v = v.cast(f.out_ty);
-                    acc = Some(match acc {
-                        None => v,
-                        Some(a) => combine(f.agg, a, v),
-                    });
+                    accumulate(f.agg, &mut acc, v.cast(f.out_ty));
                 }
             }
-            if *out_len > 0 {
-                if let Some(a) = acc.take() {
-                    out.set(run_start, a);
-                }
+            if let Some(a) = acc {
+                out.set(run_start, a);
             }
             let mut sv = StructuredVector::with_len(*out_len);
             sv.insert(f.out_kp.clone(), out);
@@ -1543,24 +1140,29 @@ impl Executor {
     }
 }
 
+/// Elements per run: one for a map, `l` for uniform runs, the whole
+/// domain for a single run (dynamic runs store folds at element slots and
+/// never divide by it).
+fn run_len_of(run: &RunStructure, domain: usize) -> usize {
+    match run {
+        RunStructure::Map => 1,
+        RunStructure::Uniform(l) => *l,
+        RunStructure::Single | RunStructure::Dynamic(_) => domain.max(1),
+    }
+}
+
 /// Slots an output column occupies: the whole domain for `Full` layout,
 /// one slot per run for `Dense` (fold results).
 fn full_len_of(layout: Layout, domain: usize, run_len: usize) -> usize {
     match layout {
         Layout::Full => domain,
-        Layout::Dense => {
-            if domain == 0 {
-                0
-            } else {
-                domain.div_ceil(run_len)
-            }
-        }
+        Layout::Dense => domain.div_ceil(run_len),
     }
 }
 
-/// Shared epilogue of the serial and morsel fragment paths: attach the
-/// merged output column to (or create) its statement's vector, record
-/// optional partition-bounds metadata, and wrap per layout.
+/// Epilogue of every fragment output: attach the merged column to (or
+/// create) its statement's vector, record optional partition-bounds
+/// metadata, and wrap per layout.
 fn attach_fragment_output(
     values: &mut [Option<Arc<MatVec>>],
     spec: &crate::plan::OutSpec,
@@ -1608,6 +1210,17 @@ fn combine(agg: AggKind, a: ScalarValue, b: ScalarValue) -> ScalarValue {
             }
         }
     }
+}
+
+/// Fold `v` into an accumulator (the first value seeds it) and return
+/// the new accumulated value.
+fn accumulate(agg: AggKind, acc: &mut Option<ScalarValue>, v: ScalarValue) -> ScalarValue {
+    let next = match *acc {
+        None => v,
+        Some(a) => combine(agg, a, v),
+    };
+    *acc = Some(next);
+    next
 }
 
 fn count_acc(env: &mut Env<'_>, ty: ScalarType) {

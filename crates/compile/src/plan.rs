@@ -142,6 +142,18 @@ pub enum Action {
     },
 }
 
+impl Action {
+    /// The output slot this action writes.
+    pub(crate) fn out(&self) -> usize {
+        match self {
+            Action::Write { out, .. }
+            | Action::FoldAggAct { out, .. }
+            | Action::FoldScanAct { out, .. }
+            | Action::SelectEmit { out, .. } => *out,
+        }
+    }
+}
+
 /// A fused loop over one iteration domain.
 #[derive(Debug, Clone)]
 pub struct Fragment {
@@ -348,13 +360,7 @@ impl CompiledProgram {
     /// produces (actions address outputs by slot; the output spec names
     /// the producing statement).
     pub fn action_verdict(&self, frag: &Fragment, action: &Action) -> ParallelSafety {
-        let out = match action {
-            Action::Write { out, .. }
-            | Action::FoldAggAct { out, .. }
-            | Action::FoldScanAct { out, .. }
-            | Action::SelectEmit { out, .. } => *out,
-        };
-        self.safety[frag.outputs[out].stmt.index()]
+        self.safety[frag.outputs[action.out()].stmt.index()]
     }
 }
 

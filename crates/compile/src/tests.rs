@@ -5,8 +5,8 @@
 use voodoo_core::{AggKind, BinOp, Buffer, KeyPath, Program, ScalarValue, StructuredVector};
 use voodoo_storage::{Catalog, Table, TableColumn};
 
-use crate::exec::{ExecOptions, Executor};
-use crate::plan::{Bulk, Compiler, FragmentKind, Handling, Unit};
+use crate::exec::{ExecOptions, Executor, Parallelism};
+use crate::plan::{Action, Bulk, Compiler, FragmentKind, Handling, RunStructure, Unit};
 use crate::repr::MatVec;
 
 fn kp(s: &str) -> KeyPath {
@@ -21,7 +21,7 @@ fn assert_equivalent(cat: &Catalog, p: &Program) {
     let cp = Compiler::new(cat).compile(p).expect("compile");
     for &threads in &[1usize, 3] {
         let exec = Executor::new(ExecOptions {
-            parallelism: crate::exec::Parallelism::Fixed(threads),
+            parallelism: Parallelism::Fixed(threads),
             // Tiny fixture domains must still exercise the morsel path.
             min_parallel_domain: 1,
             ..Default::default()
@@ -481,6 +481,44 @@ fn diff_empty_inputs() {
     assert_equivalent(&cat, &p);
 }
 
+/// Runs of a data-dependent control column (a `Dynamic` run structure):
+/// `7 7 7 | 4 4 | 9 9 9 9`.
+fn dynamic_runs_catalog() -> Catalog {
+    let mut cat = Catalog::in_memory();
+    cat.put_i64_column("ctrl", &[7, 7, 7, 4, 4, 9, 9, 9, 9]);
+    cat.put_i64_column("vals", &[1, 2, 3, 10, 20, 100, 200, 300, 400]);
+    cat.put_i64_column("sel", &[1, 0, 0, 0, 1, 1, 0, 1, 0]);
+    cat
+}
+
+#[test]
+fn dynamic_run_scans_restart_at_every_run() {
+    // The prefix sum of run `4 4` starts from 10, not from the `7 7 7`
+    // run's total.
+    let cat = dynamic_runs_catalog();
+    let mut p = Program::new();
+    let ctrl = p.load("ctrl");
+    let vals = p.load("vals");
+    let z = p.zip_kp(kp(".fold"), ctrl, kp(".val"), kp(".val"), vals, kp(".val"));
+    let scan = p.fold_scan_kp(z, Some(kp(".fold")), kp(".val"), kp(".val"));
+    p.ret(scan);
+    assert_equivalent(&cat, &p);
+}
+
+#[test]
+fn dynamic_run_predicated_selects_clear_their_tails() {
+    // Run `7 7 7` selects only its first element; under predicated
+    // emission the cursor slot after it must end up ε, as it does for
+    // single and uniform runs.
+    let cat = dynamic_runs_catalog();
+    let mut p = Program::new();
+    let ctrl = p.load("ctrl");
+    let sel = p.load("sel");
+    let picked = p.fold_select(ctrl, sel);
+    p.ret(picked);
+    assert_equivalent(&cat, &p);
+}
+
 #[test]
 fn profile_counts_events() {
     let mut cat = Catalog::in_memory();
@@ -535,6 +573,251 @@ fn profile_predicated_trades_branches_for_ops() {
         pp.write_bytes > bp.write_bytes,
         "predication adds memory traffic"
     );
+}
+
+// ---------------------------------------------------------------------
+// Unit-kind differential: every execution unit × domain × P × predication
+// ---------------------------------------------------------------------
+
+/// Domains around the morsel alignment (1024 rows): empty, one row, one
+/// short of / exactly / one past an aligned block, and a ragged tail.
+const UNIT_DOMAINS: [usize; 6] = [0, 1, 1023, 1024, 1025, 3 * 1024 + 7];
+
+/// Worker counts: serial, even, odd (unequal morsels, short tail) and
+/// more workers than most domains have aligned blocks.
+const UNIT_WORKERS: [usize; 4] = [1, 2, 3, 8];
+
+/// Every table the unit-kind cases read, `n` rows each: `t` (ints with
+/// duplicates and negatives), `f` (floats), `ctrl` (irregular runs for
+/// dynamic folds), `g` (dense group keys) and `h` (a group key that
+/// collides in one bucket between the first and the last row only, so
+/// at P > 1 the conflict is *across* morsels).
+fn unit_catalog(n: usize) -> Catalog {
+    let ints =
+        |salt: i64| -> Vec<i64> { (0..n as i64).map(|i| (i * 37 + salt) % 101 - 50).collect() };
+    let mut cat = Catalog::in_memory();
+    cat.put_i64_column("t", &ints(11));
+    let floats: Vec<f32> = ints(5).iter().map(|&v| v as f32 / 4.0).collect();
+    cat.put_f32_column("f", &floats);
+    let runs: Vec<i64> = (0..n as i64).map(|i| (i / 3 + i / 7) % 5).collect();
+    cat.put_i64_column("ctrl", &runs);
+    for (name, keys) in [
+        ("g", (0..n as i64).map(|i| i * 7 % 16).collect::<Vec<_>>()),
+        (
+            "h",
+            (0..n)
+                .map(|i| match i {
+                    0 => 3,
+                    _ if i == n - 1 => 7,
+                    _ => i as i64 % 3,
+                })
+                .collect(),
+        ),
+    ] {
+        let mut t = Table::new(name);
+        t.add_column(TableColumn::from_buffer("k", Buffer::I64(keys)));
+        t.add_column(TableColumn::from_buffer("v", Buffer::I64(ints(29))));
+        cat.insert_table(t);
+    }
+    cat
+}
+
+/// A grouped aggregation of table `name` over pivots `0..buckets`.
+fn grouped(p: &mut Program, name: &str, buckets: usize) {
+    let input = p.load(name);
+    let pivots = p.range(0, buckets, 1);
+    let pos = p.partition(input, kp(".k"), pivots, kp(".val"));
+    let scattered = p.scatter(input, input, pos);
+    for (agg, out) in [(AggKind::Sum, ".sum"), (AggKind::Max, ".max")] {
+        let f = p.fold_agg_kp(agg, scattered, Some(kp(".k")), kp(".v"), kp(out));
+        p.ret(f);
+    }
+}
+
+/// `(case, program builder)`: together they draw every unit kind.
+type UnitCase = (&'static str, fn(&mut Program));
+
+const UNIT_CASES: [UnitCase; 11] = [
+    ("single: write + select + integer folds", |p| {
+        let t = p.load("t");
+        let tripled = p.mul_const(t, 3i64);
+        let pred = p.greater_const(t, 0i64);
+        let sel = p.fold_select_global(pred);
+        let sum = p.fold_sum_global(tripled);
+        let min = p.fold_min_global(t);
+        for v in [tripled, sel, sum, min] {
+            p.ret(v);
+        }
+    }),
+    ("single: scan + float fold", |p| {
+        let t = p.load("t");
+        let f = p.load("f");
+        let scan = p.fold_scan_global(t);
+        let fsum = p.fold_sum_global(f);
+        p.ret(scan);
+        p.ret(fsum);
+    }),
+    ("map", |p| {
+        let t = p.load("t");
+        let a = p.mul_const(t, 3i64);
+        let b = p.add(a, t);
+        let c = p.greater_const(b, 10i64);
+        p.ret(b);
+        p.ret(c);
+    }),
+    ("uniform: fold, scan, select", |p| {
+        let t = p.load("t");
+        let ids = p.range_like(0, t, 1);
+        let sevens = p.div_const(ids, 7);
+        let sum = p.fold_sum(sevens, t);
+        let z = p.zip_kp(kp(".fold"), sevens, kp(".val"), kp(".val"), t, kp(".val"));
+        let scan = p.fold_scan_kp(z, Some(kp(".fold")), kp(".val"), kp(".val"));
+        let fives = p.div_const(ids, 5);
+        let pred = p.greater_const(t, 0i64);
+        let sel = p.fold_select(fives, pred);
+        for v in [sum, scan, sel] {
+            p.ret(v);
+        }
+    }),
+    ("dynamic: fold, scan, select", |p| {
+        let ctrl = p.load("ctrl");
+        let t = p.load("t");
+        let z = p.zip_kp(kp(".fold"), ctrl, kp(".val"), kp(".val"), t, kp(".val"));
+        let sum = p.fold_agg_kp(AggKind::Sum, z, Some(kp(".fold")), kp(".val"), kp(".val"));
+        let scan = p.fold_scan_kp(z, Some(kp(".fold")), kp(".val"), kp(".val"));
+        let pred = p.greater_const(t, 0i64);
+        let sel = p.fold_select(ctrl, pred);
+        for v in [sum, scan, sel] {
+            p.ret(v);
+        }
+    }),
+    ("scatter with conflicting and out-of-range positions", |p| {
+        let t = p.load("t");
+        let ids = p.range_like(0, t, 1);
+        let wrapped = p.mod_const(ids, 97i64);
+        let pos = p.sub_const(wrapped, 3i64);
+        let sc = p.scatter(t, t, pos);
+        p.ret(sc);
+    }),
+    ("partition", |p| {
+        let t = p.load("t");
+        let pivots = p.range(-40, 8, 10);
+        let pos = p.partition(t, kp(".val"), pivots, kp(".val"));
+        p.ret(pos);
+    }),
+    ("vectorized selection", |p| {
+        let t = p.load("t");
+        let pred = p.greater_const(t, 0i64);
+        let ids = p.range_like(0, pred, 1);
+        let chunks = p.div_const(ids, 128);
+        let sel = p.fold_select(chunks, pred);
+        let vals = p.gather(t, sel);
+        let sum = p.fold_sum_global(vals);
+        let max = p.fold_max_global(vals);
+        p.ret(sum);
+        p.ret(max);
+    }),
+    ("fused group aggregation", |p| grouped(p, "g", 16)),
+    ("group aggregation, cross-morsel bucket conflict", |p| {
+        grouped(p, "h", 4)
+    }),
+    ("float group aggregation", |p| {
+        let g = p.load("g");
+        let f = p.load("f");
+        let z = p.zip_kp(kp(".k"), g, kp(".k"), kp(".v"), f, kp(".val"));
+        let pivots = p.range(0, 16, 1);
+        let pos = p.partition(z, kp(".k"), pivots, kp(".val"));
+        let scattered = p.scatter(z, z, pos);
+        let sums = p.fold_agg_kp(
+            AggKind::Sum,
+            scattered,
+            Some(kp(".k")),
+            kp(".v"),
+            kp(".sum"),
+        );
+        p.ret(sums);
+    }),
+];
+
+/// The unit kinds a compiled program draws, by name.
+fn unit_kinds(units: &[Unit]) -> Vec<&'static str> {
+    let mut kinds = Vec::new();
+    for unit in units {
+        match unit {
+            Unit::Fragment(f) => match &f.run {
+                RunStructure::Single => kinds.extend(f.actions.iter().map(|a| match a {
+                    Action::Write { .. } => "single/write",
+                    Action::FoldAggAct { .. } => "single/fold",
+                    Action::FoldScanAct { .. } => "single/scan",
+                    Action::SelectEmit { .. } => "single/select",
+                })),
+                RunStructure::Map => kinds.push("map"),
+                RunStructure::Uniform(_) => kinds.push("uniform"),
+                RunStructure::Dynamic(_) => kinds.push("dynamic"),
+            },
+            Unit::Bulk(b) => kinds.push(match b {
+                Bulk::ScatterOp { .. } => "scatter",
+                Bulk::PartitionOp { .. } => "partition",
+                Bulk::GroupAgg { .. } => "group-agg",
+                Bulk::VecSelect { .. } => "vec-select",
+            }),
+        }
+    }
+    kinds
+}
+
+/// Every unit kind × domains around the morsel alignment × P × predication:
+/// the compiled executor (whose one driver cuts each unit's domain, or
+/// runs it as one inline morsel) must equal the interpreter everywhere.
+#[test]
+fn every_unit_kind_matches_the_interpreter_at_every_domain_and_p() {
+    let mut drawn = std::collections::BTreeSet::new();
+    for n in UNIT_DOMAINS {
+        let cat = unit_catalog(n);
+        for (case, build) in UNIT_CASES {
+            let mut p = Program::new();
+            build(&mut p);
+            let interp = voodoo_interp::Interpreter::new(&cat)
+                .run_program(&p)
+                .expect("interp");
+            let cp = Compiler::new(&cat).compile(&p).expect("compile");
+            drawn.extend(unit_kinds(&cp.units));
+            for workers in UNIT_WORKERS {
+                for predicated_select in [false, true] {
+                    let exec = Executor::new(ExecOptions {
+                        parallelism: Parallelism::Fixed(workers),
+                        min_parallel_domain: 1,
+                        predicated_select,
+                        ..Default::default()
+                    });
+                    let (compiled, _) = exec.run(&cp, &cat).expect("exec");
+                    assert_eq!(interp.returns.len(), compiled.returns.len());
+                    for (i, (a, b)) in interp.returns.iter().zip(&compiled.returns).enumerate() {
+                        let what = format!(
+                            "return {i} of {case:?} (n={n}, P={workers}, \
+                             predicated={predicated_select})"
+                        );
+                        assert_vec_eq(a, b, &what);
+                    }
+                }
+            }
+        }
+    }
+    let every = [
+        "single/write",
+        "single/fold",
+        "single/scan",
+        "single/select",
+        "map",
+        "uniform",
+        "dynamic",
+        "scatter",
+        "partition",
+        "group-agg",
+        "vec-select",
+    ];
+    let missing: Vec<_> = every.iter().filter(|k| !drawn.contains(*k)).collect();
+    assert!(missing.is_empty(), "unit kinds never drawn: {missing:?}");
 }
 
 // ---------------------------------------------------------------------

@@ -70,8 +70,8 @@
 //! FIFO steals, so a skewed morsel rebalances onto idle workers
 //! instead of stalling the statement — and serving QPS no longer pays
 //! a thread spawn per execution unit. Statements over-decompose their
-//! domains (`steal_grain` morsels per worker) to leave the scheduler
-//! units to move. Under [`serve`], each admission worker carries an
+//! domains (`voodoo_storage::DEFAULT_STEAL_GRAIN` morsels per worker)
+//! to leave the scheduler units to move. Under [`serve`], each admission worker carries an
 //! intra-statement parallelism budget of `cores / workers` — the
 //! *lease* it takes on the shared pool — so statement fan-out and the
 //! admission pool compose to the machine rather than oversubscribing

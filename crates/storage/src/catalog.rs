@@ -38,8 +38,6 @@ use voodoo_core::{
     Buffer, Column, KeyPath, ScalarType, ScalarValue, Schema, StructuredVector, TableProvider,
 };
 
-use crate::partition::{PartitionCache, Partitioning};
-
 /// Per-column statistics maintained on ingest.
 ///
 /// The Voodoo planner uses min/max to size dense (identity-hashed) join and
@@ -374,23 +372,6 @@ impl Table {
         self.base_version
     }
 
-    /// Fence posts of the physical layout over the logical row space:
-    /// `[0, base_len, …, len]` — one interior cut per segment boundary.
-    /// Partition layouts align morsels to these so a morsel never
-    /// straddles a segment seam.
-    pub fn segment_bounds(&self) -> Vec<usize> {
-        let mut bounds = Vec::with_capacity(self.segments.len() + 2);
-        bounds.push(0);
-        let mut at = self.base_len();
-        for seg in &self.segments {
-            bounds.push(at);
-            at += seg.len;
-        }
-        bounds.push(self.len);
-        bounds.dedup();
-        bounds
-    }
-
     /// Fold all pending append segments into the base columns and raise
     /// `base_version` to the current version. Purely physical: the
     /// logical table is unchanged, so callers bump no version and log no
@@ -617,9 +598,6 @@ pub const MAX_CHANGE_LOG: usize = 1024;
 pub struct Catalog {
     tables: HashMap<String, Arc<Table>>,
     version: u64,
-    /// Cached morsel layouts, shared across clones/snapshots (entries are
-    /// keyed by per-table version, so sharing is always safe).
-    partitions: PartitionCache,
     /// Captured mutations, oldest first (entries are `Arc`-shared across
     /// clones/snapshots; the deque itself is tiny).
     changes: VecDeque<Arc<ChangeEntry>>,
@@ -667,24 +645,6 @@ impl Catalog {
             }
         }
         s
-    }
-
-    /// The cached morsel layout slicing table `name` into at most `parts`
-    /// extents, or `None` for an unknown table. Layouts are computed once
-    /// per `(table, table-version, parts)` and shared across every clone
-    /// and snapshot of this catalog; mutating the table bumps its version
-    /// and thereby invalidates exactly its own layouts. Segmented tables
-    /// get layouts whose morsels additionally respect segment seams.
-    pub fn table_partitioning(&self, name: &str, parts: usize) -> Option<Arc<Partitioning>> {
-        let t = self.tables.get(name)?;
-        if t.segments.is_empty() {
-            Some(self.partitions.get(name, t.version, t.len, parts))
-        } else {
-            Some(
-                self.partitions
-                    .get_with_cuts(name, t.version, t.len, parts, &t.segment_bounds()),
-            )
-        }
     }
 
     /// An immutable, cheaply clonable snapshot of this catalog. Column
@@ -1219,25 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn table_partitioning_is_cached_per_version() {
-        let mut cat = Catalog::in_memory();
-        cat.put_i64_column("t", &(0..10_000).collect::<Vec<_>>());
-        let a = cat.table_partitioning("t", 4).unwrap();
-        let b = cat.table_partitioning("t", 4).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "layout computed once per version");
-        assert_eq!(a.total_len(), 10_000);
-        // Snapshots share the cache (same Arc-ed layout)…
-        let snap = cat.snapshot();
-        assert!(Arc::ptr_eq(&snap.table_partitioning("t", 4).unwrap(), &a));
-        // …and mutating the table invalidates its layouts.
-        cat.put_i64_column("t", &(0..5_000).collect::<Vec<_>>());
-        let c = cat.table_partitioning("t", 4).unwrap();
-        assert_eq!(c.total_len(), 5_000);
-        assert!(!Arc::ptr_eq(&c, &a));
-        assert!(cat.table_partitioning("missing", 4).is_none());
-    }
-
-    #[test]
     fn append_rows_seals_segments_base_untouched() {
         let mut t = Table::new("t");
         t.add_column(TableColumn::from_buffer("a", Buffer::I64(vec![1, 2])));
@@ -1267,7 +1208,6 @@ mod tests {
         assert_eq!((s.min, s.max), (-4, 3));
         assert!(t.rows_capturable());
         assert_eq!(t.row_image(3), vec![-4, 40]);
-        assert_eq!(t.segment_bounds(), vec![0, 2, 4]);
         // Compaction folds everything into the base, changing nothing
         // logically.
         t.compact();

@@ -17,13 +17,11 @@
 //! rules.
 //!
 //! [`partition`] adds the morsel layer: a [`Partitioning`] slices a
-//! table's aligned columns into `P` contiguous extents — what the
-//! compiled executor fans statements across for intra-statement
-//! parallelism (per domain, via [`Partitioning::for_len`]); base-table
-//! layouts are additionally cached per `(table, table-version, P)`
-//! behind [`Catalog::table_partitioning`]. Versioning is per table
+//! domain into `P` contiguous extents — what the compiled executor fans
+//! statements across for intra-statement parallelism (per domain, via
+//! [`Partitioning::for_stealing`]). Versioning is per table
 //! ([`Catalog::table_version`] / [`Catalog::table_state`]), so mutating
-//! one table invalidates only its own plans and layouts.
+//! one table invalidates only its own plans.
 
 pub mod catalog;
 pub mod partition;
@@ -33,4 +31,4 @@ pub use catalog::{
     Catalog, CatalogSnapshot, ChangeEntry, ColumnStats, RowDelta, Segment, Table, TableChange,
     TableColumn, MAX_CHANGE_LOG, MAX_TABLE_SEGMENTS,
 };
-pub use partition::{Morsel, PartitionCache, Partitioning, DEFAULT_STEAL_GRAIN, MORSEL_ALIGN};
+pub use partition::{Morsel, Partitioning, DEFAULT_STEAL_GRAIN, MORSEL_ALIGN};

@@ -1,4 +1,4 @@
-//! Morsel partitioning: slicing a table's aligned columns into extents.
+//! Morsel partitioning: slicing an execution domain into extents.
 //!
 //! The paper's central claim is that parallelism is *data-layout
 //! controlled*: the same algebra program runs sequential, SIMD-laned or
@@ -9,17 +9,14 @@
 //! all of a table's columns) into `P` contiguous, cache-line-friendly
 //! **morsels**. The compiled executor fans hot kernels — selections,
 //! folds, grouped aggregation, the build side of joins — across these
-//! morsels on a scoped worker pool and merges the partials back into
-//! results bit-identical to the serial path.
+//! morsels on its persistent worker pool and merges the partials back
+//! into results bit-identical to the serial path.
 //!
-//! The executor computes layouts per *domain* with
-//! [`Partitioning::for_len`] (its domains include intermediates that are
-//! not tables). For base tables, [`crate::Catalog::table_partitioning`]
-//! additionally caches layouts keyed by `(table, table-version, P)` —
-//! the table-level entry point for engine-side consumers (dashboards,
-//! algebra-level program builders sizing their fold strategies) — and a
-//! table mutation (which bumps the table's version counter) invalidates
-//! exactly the affected layouts.
+//! Layouts are computed per execution *domain*, not per table: a
+//! domain may be an intermediate that no table holds, and it is cut in
+//! units of whatever the execution unit iterates (elements, uniform
+//! runs, selection chunks). Computing a layout is a few arithmetic
+//! operations, so nothing caches them.
 //!
 //! # Granularity for work stealing
 //!
@@ -34,9 +31,6 @@
 //! deque. The morsels stay [`MORSEL_ALIGN`]-aligned and in row order —
 //! merging partials in morsel order is what keeps pooled results
 //! bit-identical to the serial path.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// Morsel boundaries are aligned to this many rows (when the input is
 /// large enough to afford it): whole cache lines per worker, no false
@@ -113,41 +107,6 @@ impl Partitioning {
         Partitioning { len, morsels }
     }
 
-    /// Slice `[0, len)` into at most `parts` morsels whose boundaries
-    /// additionally respect the given `cuts` (sorted or not; out-of-range
-    /// and duplicate cuts are ignored): any morsel spanning a cut is
-    /// split there. Segmented tables partition with their segment seams
-    /// as cuts, so a morsel never straddles physically discontiguous
-    /// storage — at the cost of up to `cuts.len()` extra morsels beyond
-    /// `parts`. All other [`Partitioning::for_len`] invariants (ordered,
-    /// contiguous, exact cover, non-empty) hold unchanged.
-    pub fn for_len_with_cuts(len: usize, parts: usize, cuts: &[usize]) -> Partitioning {
-        let base = Partitioning::for_len(len, parts);
-        let mut cuts: Vec<usize> = cuts.iter().copied().filter(|&c| c > 0 && c < len).collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-        if cuts.is_empty() {
-            return base;
-        }
-        let mut morsels = Vec::with_capacity(base.morsels.len() + cuts.len());
-        let mut cuts = cuts.into_iter().peekable();
-        for m in base.morsels {
-            let mut start = m.start;
-            while let Some(&c) = cuts.peek() {
-                if c >= m.end {
-                    break;
-                }
-                cuts.next();
-                if c > start {
-                    morsels.push(Morsel { start, end: c });
-                    start = c;
-                }
-            }
-            morsels.push(Morsel { start, end: m.end });
-        }
-        Partitioning { len, morsels }
-    }
-
     /// Slice `[0, len)` for a *stealing* scheduler: up to
     /// `workers × grain` morsels (grain clamped to ≥ 1; see
     /// [`DEFAULT_STEAL_GRAIN`]), so a pool of `workers` long-lived
@@ -181,98 +140,6 @@ impl Partitioning {
         let mut b: Vec<usize> = self.morsels.iter().map(|m| m.start).collect();
         b.push(self.len);
         b
-    }
-}
-
-/// A per-catalog cache of table partitionings, keyed by
-/// `(table name, table version, parts)`.
-///
-/// Shared (behind an [`Arc`]) across catalog clones and snapshots: the
-/// key carries the table's own version counter, so entries for a mutated
-/// table simply stop being looked up — and are pruned on the next insert
-/// — while other tables' layouts stay hot.
-#[derive(Clone, Default)]
-pub struct PartitionCache {
-    cached: Arc<Mutex<LayoutMap>>,
-}
-
-/// `(table name, table version, parts)` → cached layout.
-type LayoutMap = HashMap<(String, u64, usize), Arc<Partitioning>>;
-
-impl std::fmt::Debug for PartitionCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let entries = self
-            .cached
-            .lock()
-            .map(|m| m.len())
-            .unwrap_or_else(|e| e.into_inner().len());
-        f.debug_struct("PartitionCache")
-            .field("entries", &entries)
-            .finish()
-    }
-}
-
-impl PartitionCache {
-    /// Fetch (or compute and cache) the partitioning of a table with the
-    /// given row count at its current version.
-    ///
-    /// A hit is only served if its `total_len` matches `len`: two forked
-    /// catalog clones can independently assign one table the same version
-    /// number with *different* row counts (versions are monotonic per
-    /// lineage, not globally unique), and a layout covering the wrong row
-    /// range must never escape.
-    pub fn get(
-        &self,
-        table: &str,
-        table_version: u64,
-        len: usize,
-        parts: usize,
-    ) -> Arc<Partitioning> {
-        let key = (table.to_string(), table_version, parts.max(1));
-        let mut map = self.cached.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(p) = map.get(&key) {
-            if p.total_len() == len {
-                return Arc::clone(p);
-            }
-        }
-        // Prune layouts of stale versions of this table: they can never
-        // be looked up again (versions are monotonic), so dropping them
-        // keeps the cache bounded by live (table, parts) combinations.
-        map.retain(|(name, version, _), _| name != table || *version == table_version);
-        let p = Arc::new(Partitioning::for_len(len, parts));
-        map.insert(key, Arc::clone(&p));
-        p
-    }
-
-    /// Like [`PartitionCache::get`], but the layout respects the given
-    /// cut points ([`Partitioning::for_len_with_cuts`]) — the entry point
-    /// for segmented tables, whose segment seams are the cuts. The cache
-    /// key is unchanged: a table's version determines its segment layout,
-    /// so one layout per `(table, version, parts)` is still exact.
-    pub fn get_with_cuts(
-        &self,
-        table: &str,
-        table_version: u64,
-        len: usize,
-        parts: usize,
-        cuts: &[usize],
-    ) -> Arc<Partitioning> {
-        let key = (table.to_string(), table_version, parts.max(1));
-        let mut map = self.cached.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(p) = map.get(&key) {
-            if p.total_len() == len {
-                return Arc::clone(p);
-            }
-        }
-        map.retain(|(name, version, _), _| name != table || *version == table_version);
-        let p = Arc::new(Partitioning::for_len_with_cuts(len, parts, cuts));
-        map.insert(key, Arc::clone(&p));
-        p
-    }
-
-    /// Number of cached layouts (for tests and diagnostics).
-    pub fn entries(&self) -> usize {
-        self.cached.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 }
 
@@ -333,70 +200,5 @@ mod tests {
         // Degenerate grains clamp instead of collapsing to zero morsels.
         assert_eq!(Partitioning::for_stealing(10, 4, 0).count(), 4);
         assert_eq!(Partitioning::for_stealing(0, 4, 4).count(), 0);
-    }
-
-    #[test]
-    fn cut_layouts_respect_seams_and_keep_invariants() {
-        // Cuts mid-morsel split it; cuts on existing boundaries, out of
-        // range, duplicated or unsorted are absorbed.
-        let len = 10 * MORSEL_ALIGN + 17;
-        let cuts = [
-            3 * MORSEL_ALIGN + 5,
-            MORSEL_ALIGN / 2,
-            3 * MORSEL_ALIGN + 5,
-            0,
-            len,
-            len + 99,
-        ];
-        let p = Partitioning::for_len_with_cuts(len, 4, &cuts);
-        let mut prev_end = 0usize;
-        for m in p.morsels() {
-            assert_eq!(m.start, prev_end, "contiguous");
-            assert!(!m.is_empty());
-            prev_end = m.end;
-        }
-        assert_eq!(prev_end, len, "full coverage");
-        let bounds = p.boundaries();
-        for c in [MORSEL_ALIGN / 2, 3 * MORSEL_ALIGN + 5] {
-            assert!(bounds.contains(&c), "cut {c} honored in {bounds:?}");
-        }
-        // At most one extra morsel per interior cut.
-        assert!(p.count() <= 4 + 2);
-        // No cuts degenerates to the plain layout.
-        assert_eq!(
-            Partitioning::for_len_with_cuts(len, 4, &[]),
-            Partitioning::for_len(len, 4)
-        );
-    }
-
-    #[test]
-    fn cache_hit_requires_matching_len() {
-        // Forked clones can assign one table the same version with
-        // different row counts; a layout of the wrong length must be
-        // recomputed, not served.
-        let cache = PartitionCache::default();
-        let a = cache.get("t", 5, 10_000, 4);
-        assert_eq!(a.total_len(), 10_000);
-        let b = cache.get("t", 5, 6_000, 4);
-        assert_eq!(b.total_len(), 6_000, "stale-len layout must not escape");
-    }
-
-    #[test]
-    fn cache_shares_layouts_and_invalidates_per_version() {
-        let cache = PartitionCache::default();
-        let a = cache.get("t", 1, 10_000, 4);
-        let b = cache.get("t", 1, 10_000, 4);
-        assert!(Arc::ptr_eq(&a, &b), "same layout instance served");
-        assert_eq!(cache.entries(), 1);
-        // A different P is a distinct layout; a new version prunes both.
-        let _ = cache.get("t", 1, 10_000, 2);
-        assert_eq!(cache.entries(), 2);
-        let c = cache.get("t", 2, 12_000, 4);
-        assert_eq!(c.total_len(), 12_000);
-        assert_eq!(cache.entries(), 1, "stale-version layouts pruned");
-        // Other tables are untouched by pruning.
-        let _ = cache.get("u", 7, 100, 4);
-        let _ = cache.get("t", 3, 100, 4);
-        assert_eq!(cache.entries(), 2);
     }
 }

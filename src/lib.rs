@@ -172,9 +172,9 @@
 //! ## Parallel execution
 //!
 //! Statements don't just run concurrently — each statement can fan
-//! **across** cores. The storage layer slices a table's columns into
-//! aligned morsels ([`storage::Partitioning`], cached per table
-//! version), and the compiled CPU backend executes the hot kernels —
+//! **across** cores. The storage layer slices an execution domain into
+//! aligned morsels ([`storage::Partitioning`]), and the compiled CPU
+//! backend executes the hot kernels —
 //! selection, folds, grouped aggregation (partial per-partition tables
 //! merged in morsel order), the expression side of join builds —
 //! partition-parallel, **bit-identical** to the serial interpreter
@@ -188,7 +188,7 @@
 //! (LIFO for locality), and idle workers *steal* the oldest entries
 //! (FIFO), so a skewed morsel rebalances across the machine instead of
 //! stalling its statement. Domains are over-decomposed
-//! (`steal_grain`, default 4 morsels per worker) to leave the
+//! ([`storage::DEFAULT_STEAL_GRAIN`], 4 morsels per worker) to leave the
 //! scheduler units to move; results still merge in morsel order, so
 //! scheduling never changes a bit of output. A panicking morsel task
 //! fails only its own statement — the pool keeps serving.
