@@ -77,8 +77,8 @@ impl PlanProfile {
 ///
 /// Plans bind to the *shape* of the catalog they were prepared against
 /// (schemas, table sizes) but read data at execution time, so one plan can
-/// run against any catalog of the same shape — e.g. Q20's staged
-/// intermediate catalogs. Callers that mutate shapes should re-prepare;
+/// run against any catalog of the same shape — e.g. a later snapshot of
+/// the same tables. Callers that mutate shapes should re-prepare;
 /// [`ShardedPlanCache`] automates that via per-table versions.
 pub trait PreparedPlan: Send + Sync {
     /// Name of the backend that prepared this plan.

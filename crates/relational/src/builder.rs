@@ -1,6 +1,36 @@
-//! Plan-construction helpers and padded-result extraction.
+//! Plan-construction helpers, the [`Lowered`] shape every relational
+//! frontend lowers to, and padded-result extraction.
 
 use voodoo_core::{AggKind, BinOp, KeyPath, Program, StructuredVector, VRef};
+use voodoo_interp::ExecOutput;
+
+/// Reads a [`Lowered`] program's canonical rows out of its returned
+/// vectors.
+pub type Extract = Box<dyn Fn(&ExecOutput) -> Vec<Vec<i64>>>;
+
+/// A relational statement lowered to exactly one Voodoo program, plus the
+/// host-side step that reads its canonical rows back out of the program's
+/// returned vectors. What both frontends produce — [`crate::sql::lower`]
+/// and [`crate::queries::plan`] — and all the statement driver consumes.
+pub struct Lowered {
+    /// The Voodoo program.
+    pub program: Program,
+    /// The statement's rows, in any order, from the program's output.
+    pub extract: Extract,
+}
+
+impl Lowered {
+    /// Pair a program with its row extraction.
+    pub fn new(
+        program: Program,
+        extract: impl Fn(&ExecOutput) -> Vec<Vec<i64>> + 'static,
+    ) -> Lowered {
+        Lowered {
+            program,
+            extract: Box::new(extract),
+        }
+    }
+}
 
 /// A fluent wrapper over [`Program`] for relational lowering.
 pub struct QB {
@@ -219,22 +249,6 @@ pub fn extract_scalar(v: &StructuredVector) -> i64 {
         return 0;
     }
     v.value_at(0, &KeyPath::val())
-        .map(|x| x.as_i64())
-        .unwrap_or(0)
-}
-
-/// Extract every non-ε `(position, value)` of a padded vector.
-pub fn extract_present(v: &StructuredVector) -> Vec<(usize, i64)> {
-    let kp = KeyPath::val();
-    let col = v.column(&kp).expect("val column");
-    (0..v.len())
-        .filter_map(|i| col.get(i).map(|x| (i, x.as_i64())))
-        .collect()
-}
-
-/// ε-tolerant dense read: value at slot `i` or 0.
-pub fn at_or_zero(v: &StructuredVector, i: usize) -> i64 {
-    v.value_at(i, &KeyPath::val())
         .map(|x| x.as_i64())
         .unwrap_or(0)
 }

@@ -40,6 +40,7 @@ use voodoo_backend::{
 use voodoo_compile::exec::StatementTrace;
 use voodoo_compile::MorselPool;
 use voodoo_core::{Program, Result, VoodooError};
+use voodoo_ivm::view::Exec;
 use voodoo_ivm::{MaintainedView, Refresh, RefreshKind, ViewDef};
 use voodoo_storage::{Catalog, CatalogSnapshot};
 use voodoo_tpch::queries::{Query, QueryResult};
@@ -957,11 +958,7 @@ impl Engine {
     /// Look up + refresh + render a registered view, executing whatever
     /// stage programs the refresh needs through `exec` (the statement
     /// driver's per-program callback).
-    pub(crate) fn refresh_view(
-        &self,
-        name: &str,
-        exec: &mut queries::Exec<'_>,
-    ) -> Result<QueryResult> {
+    pub(crate) fn refresh_view(&self, name: &str, exec: &mut Exec<'_>) -> Result<QueryResult> {
         let slot = self
             .views
             .lock()
@@ -980,7 +977,7 @@ impl Engine {
     fn refresh_view_slot(
         &self,
         slot: &Mutex<MaintainedView>,
-        exec: &mut queries::Exec<'_>,
+        exec: &mut Exec<'_>,
     ) -> Result<QueryResult> {
         let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
         let snapshot = self.snapshot();

@@ -11,11 +11,13 @@
 //!
 //! Modules:
 //! * [`builder`] — plan-construction helpers over [`voodoo_core::Program`]
-//!   (masked predicates, dense-domain grouped aggregation, FK gathers) and
-//!   padded-result extraction,
+//!   (masked predicates, dense-domain grouped aggregation, FK gathers),
+//!   padded-result extraction, and [`builder::Lowered`] — one program plus
+//!   its row extraction, what the SQL and TPC-H frontends both lower to,
 //! * [`mod@prepare`] — auxiliary tables staged at load time (dictionary flag
-//!   columns, the day→year lookup),
-//! * [`queries`] — one Voodoo plan per evaluated TPC-H query,
+//!   columns, the day→year lookup) and the planner's own dictionary
+//!   resolution,
+//! * [`queries`] — one Voodoo program per evaluated TPC-H query,
 //! * [`engine`] — the shared, thread-safe [`Engine`]: catalog snapshots
 //!   (copy-on-write), the backend registry, the sharded LRU plan cache,
 //!   serving metrics, the single execution scope every statement runs

@@ -1,7 +1,9 @@
 //! Voodoo plans for the paper's TPC-H query subset.
 //!
-//! Each query lowers to one (for Q20: two) Voodoo program(s) built with
-//! [`crate::builder::QB`]. The plans follow the paper's §4/§5.2 planner:
+//! [`plan`] lowers each query to exactly one Voodoo program built with
+//! [`crate::builder::QB`], returned as a [`Lowered`] — the same shape the
+//! SQL frontend produces, so the statement driver treats both alike. The
+//! plans follow the paper's §4/§5.2 planner:
 //!
 //! * joins are positional gathers over dense key domains (identity
 //!   hashing sized by min/max metadata),
@@ -12,57 +14,70 @@
 //!   which the compiled backend executes as a virtual scatter (§3.1.3),
 //! * string predicates read load-time dictionary flag tables
 //!   ([`crate::prepare()`]), `extract(year)` reads the day→year table,
+//! * a correlated subquery stays in the program: Q20 scatters its grouped
+//!   per-partsupp sums back onto partsupp positions and filters on them,
 //! * the rare non-vectorizable finishing steps (Q11's threshold against
-//!   the grand total, Q15's arg-max, Q20's staging of a subquery result)
-//!   happen host-side on the (small) grouped outputs, like MonetDB's
-//!   multi-statement plans.
+//!   the grand total, Q15's arg-max) happen host-side on the (small)
+//!   grouped outputs, in the plan's row extraction.
 
-use voodoo_baselines::cols::{canon_ranks, code_of, len_of};
-use voodoo_baselines::hyper::{nation_key, region_key};
-use voodoo_core::{BinOp, KeyPath, Program, Result};
+use voodoo_core::{BinOp, KeyPath, Result, StructuredVector};
 use voodoo_interp::ExecOutput;
-use voodoo_storage::{Catalog, Table};
+use voodoo_ivm::view::Exec;
+use voodoo_storage::Catalog;
 use voodoo_tpch::queries::{params, Query, QueryResult};
 
-use crate::builder::{extract_grouped, extract_scalar, QB};
-use crate::prepare::aux;
+use crate::builder::{extract_grouped, extract_scalar, Lowered, QB};
+use crate::prepare::{aux, canon_ranks, code_of, len_of, nation_key, region_key};
 
-/// An executor callback: runs one program against a catalog.
-pub type Exec<'a> = dyn FnMut(&Program, &Catalog) -> Result<ExecOutput> + 'a;
-
-/// Build and run the Voodoo plan for one query.
-pub fn run_query(cat: &Catalog, q: Query, exec: &mut Exec<'_>) -> Result<QueryResult> {
-    match q {
-        Query::Q1 => q1(cat, exec),
-        Query::Q4 => q4(cat, exec),
-        Query::Q5 => q5(cat, exec),
-        Query::Q6 => q6(cat, exec),
-        Query::Q7 => q7(cat, exec),
-        Query::Q8 => q8(cat, exec),
-        Query::Q9 => q9(cat, exec),
-        Query::Q10 => q10(cat, exec),
-        Query::Q11 => q11(cat, exec),
-        Query::Q12 => q12(cat, exec),
-        Query::Q14 => q14(cat, exec),
-        Query::Q15 => q15(cat, exec),
-        Query::Q19 => q19(cat, exec),
-        Query::Q20 => q20(cat, exec),
-    }
+/// Lower one query to its Voodoo program and row extraction.
+pub fn plan(cat: &Catalog, q: Query) -> Result<Lowered> {
+    Ok(match q {
+        Query::Q1 => q1(cat),
+        Query::Q4 => q4(cat),
+        Query::Q5 => q5(cat),
+        Query::Q6 => q6(),
+        Query::Q7 => q7(cat),
+        Query::Q8 => q8(cat),
+        Query::Q9 => q9(cat),
+        Query::Q10 => q10(cat),
+        Query::Q11 => q11(cat),
+        Query::Q12 => q12(cat),
+        Query::Q14 => q14(),
+        Query::Q15 => q15(cat),
+        Query::Q19 => q19(cat),
+        Query::Q20 => q20(cat),
+    })
 }
 
-/// The exact catalog footprint of one query's plan: every table the
-/// builder reads, host-side metadata included (`canon_ranks` /
-/// `code_of` / `nation_key` dictionaries and the [`crate::prepare()`]
-/// auxiliary flag tables), sorted. This is the static analogue of
-/// `voodoo_verify`'s effects pass for the planner frontend — the TPC-H
-/// plans are built host-side *before* a program exists to analyze, so
-/// the shard router ([`crate::shard`]) plans its scatter set from this
-/// table instead. Q20's `__q20_shipped` staging table is deliberately
-/// absent: the plan creates it itself in a private scratch catalog.
+/// Plan one query, run its program once through `exec`, extract its rows.
+pub fn run_query(cat: &Catalog, q: Query, exec: &mut Exec<'_>) -> Result<QueryResult> {
+    let lowered = plan(cat, q)?;
+    let out = exec(&lowered.program, cat)?;
+    Ok(QueryResult::new((lowered.extract)(&out)))
+}
+
+/// The `(key, sums)` rows of a plan returning a key fold and then `n` sum
+/// folds.
+fn grouped(out: &ExecOutput, n: usize) -> Vec<(i64, Vec<i64>)> {
+    let sums: Vec<&StructuredVector> = out.returns[1..=n].iter().collect();
+    extract_grouped(&out.returns[0], &sums)
+}
+
+/// The catalog footprint of one query's plan: every table the planner
+/// reads, sorted — the tables its program loads plus the host-side
+/// metadata it resolves while planning (dictionary codes and ranks, the
+/// nation and region keys, table lengths). The shard router
+/// ([`crate::shard`]) plans its scatter set from this list.
 ///
-/// Pinned against the analyzer in this module's tests: for every query,
-/// the union of the effects-pass read sets of its executed programs is
-/// a subset of this list.
+/// It stays a static list instead of the lowered program's
+/// `voodoo_verify::read_set` for two reasons: the router needs the
+/// footprint before any catalog is at hand to plan against, and a plan
+/// reads tables on the host that no program loads (`region` for Q5's
+/// region key, `nation` for Q7's nation keys).
+///
+/// Pinned by the crate test `query_tables_cover_every_program_read_set`:
+/// for every query, the analyzer's read set of the lowered program is a
+/// subset of this list.
 pub fn query_tables(q: Query) -> &'static [&'static str] {
     match q {
         Query::Q1 | Query::Q6 => &["lineitem"],
@@ -105,7 +120,7 @@ pub fn query_tables(q: Query) -> &'static [&'static str] {
     }
 }
 
-fn q1(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q1(cat: &Catalog) -> Lowered {
     let rf_rank = canon_ranks(cat, "lineitem", "l_returnflag");
     let ls_rank = canon_ranks(cat, "lineitem", "l_linestatus");
     let nls = ls_rank.len().max(1) as i64;
@@ -140,19 +155,9 @@ fn q1(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     for s in &sums {
         qb.ret(*s);
     }
-    let out = exec(&qb.finish(), cat)?;
-    let rows = extract_grouped(
-        &out.returns[0],
-        &[
-            &out.returns[1],
-            &out.returns[2],
-            &out.returns[3],
-            &out.returns[4],
-            &out.returns[5],
-        ],
-    );
-    Ok(QueryResult::new(
-        rows.into_iter()
+    Lowered::new(qb.finish(), move |out| {
+        grouped(out, 5)
+            .into_iter()
             .filter(|(_, v)| v[4] > 0)
             .map(|(k, v)| {
                 vec![
@@ -165,11 +170,11 @@ fn q1(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
                     v[4],
                 ]
             })
-            .collect(),
-    ))
+            .collect()
+    })
 }
 
-fn q4(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q4(cat: &Catalog) -> Lowered {
     let (lo, hi) = params::q4_window();
     let prio_rank = canon_ranks(cat, "orders", "o_orderpriority");
     let mut qb = QB::new();
@@ -191,17 +196,16 @@ fn q4(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     let (kf, sums) = qb.group_sums(key, prio_rank.len().max(1), &[ind]);
     qb.ret(kf);
     qb.ret(sums[0]);
-    let out = exec(&qb.finish(), cat)?;
-    let rows = extract_grouped(&out.returns[0], &[&out.returns[1]]);
-    Ok(QueryResult::new(
-        rows.into_iter()
+    Lowered::new(qb.finish(), move |out| {
+        grouped(out, 1)
+            .into_iter()
             .filter(|(_, v)| v[0] > 0)
             .map(|(k, v)| vec![prio_rank[k as usize], v[0]])
-            .collect(),
-    ))
+            .collect()
+    })
 }
 
-fn q5(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q5(cat: &Catalog) -> Lowered {
     let (region, lo, hi) = params::q5();
     let rk = region_key(cat, region);
     let mut qb = QB::new();
@@ -225,17 +229,16 @@ fn q5(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     let (kf, sums) = qb.group_sums(key, 25, &[mrev]);
     qb.ret(kf);
     qb.ret(sums[0]);
-    let out = exec(&qb.finish(), cat)?;
-    let rows = extract_grouped(&out.returns[0], &[&out.returns[1]]);
-    Ok(QueryResult::new(
-        rows.into_iter()
+    Lowered::new(qb.finish(), |out| {
+        grouped(out, 1)
+            .into_iter()
             .filter(|(_, v)| v[0] != 0)
             .map(|(k, v)| vec![k, v[0]])
-            .collect(),
-    ))
+            .collect()
+    })
 }
 
-fn q6(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q6() -> Lowered {
     let (lo, hi, dlo, dhi, qmax) = params::q6();
     let mut qb = QB::new();
     let li = qb.table("lineitem");
@@ -247,13 +250,12 @@ fn q6(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     let masked = qb.masked(prod, m);
     let s = qb.global_sum(masked);
     qb.ret(s);
-    let out = exec(&qb.finish(), cat)?;
-    Ok(QueryResult::new(vec![vec![extract_scalar(
-        &out.returns[0],
-    )]]))
+    Lowered::new(qb.finish(), |out| {
+        vec![vec![extract_scalar(&out.returns[0])]]
+    })
 }
 
-fn q7(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q7(cat: &Catalog) -> Lowered {
     let (na, nb, lo, hi) = params::q7();
     let (ka, kb) = (nation_key(cat, na), nation_key(cat, nb));
     let ys96 = voodoo_tpch::dates::year_start(1996);
@@ -287,21 +289,20 @@ fn q7(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     qb.ret(kf);
     qb.ret(sums[0]);
     qb.ret(sums[1]);
-    let out = exec(&qb.finish(), cat)?;
-    let rows = extract_grouped(&out.returns[0], &[&out.returns[1], &out.returns[2]]);
-    Ok(QueryResult::new(
-        rows.into_iter()
+    Lowered::new(qb.finish(), move |out| {
+        grouped(out, 2)
+            .into_iter()
             .filter(|(_, v)| v[1] > 0 && v[0] != 0)
             .map(|(k, v)| {
                 let year = 1995 + (k & 1);
                 let (s, c) = if k & 2 == 0 { (ka, kb) } else { (kb, ka) };
                 vec![s, c, year, v[0]]
             })
-            .collect(),
-    ))
+            .collect()
+    })
 }
 
-fn q8(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q8(cat: &Catalog) -> Lowered {
     let (nation, region, ptype, lo, hi) = params::q8();
     let bk = nation_key(cat, nation);
     let rk = region_key(cat, region);
@@ -333,17 +334,16 @@ fn q8(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     qb.ret(kf);
     qb.ret(sums[0]);
     qb.ret(sums[1]);
-    let out = exec(&qb.finish(), cat)?;
-    let rows = extract_grouped(&out.returns[0], &[&out.returns[1], &out.returns[2]]);
-    Ok(QueryResult::new(
-        rows.into_iter()
+    Lowered::new(qb.finish(), |out| {
+        grouped(out, 2)
+            .into_iter()
             .filter(|(_, v)| v[1] != 0)
             .map(|(k, v)| vec![1995 + k, v[0], v[1]])
-            .collect(),
-    ))
+            .collect()
+    })
 }
 
-fn q9(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q9(cat: &Catalog) -> Lowered {
     let n_supp = len_of(cat, "supplier") as i64;
     let stride = (n_supp / 4).max(1);
     let mut qb = QB::new();
@@ -386,17 +386,16 @@ fn q9(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     qb.ret(kf);
     qb.ret(sums[0]);
     qb.ret(sums[1]);
-    let out = exec(&qb.finish(), cat)?;
-    let rows = extract_grouped(&out.returns[0], &[&out.returns[1], &out.returns[2]]);
-    Ok(QueryResult::new(
-        rows.into_iter()
+    Lowered::new(qb.finish(), |out| {
+        grouped(out, 2)
+            .into_iter()
             .filter(|(_, v)| v[1] > 0)
             .map(|(k, v)| vec![k / 8, 1992 + k % 8, v[0]])
-            .collect(),
-    ))
+            .collect()
+    })
 }
 
-fn q10(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q10(cat: &Catalog) -> Lowered {
     let (lo, hi) = params::q10_window();
     let rcode = code_of(cat, "lineitem", "l_returnflag", "R");
     let n_cust = len_of(cat, "customer");
@@ -415,17 +414,16 @@ fn q10(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     let (kf, sums) = qb.group_sums(key, n_cust, &[mrev]);
     qb.ret(kf);
     qb.ret(sums[0]);
-    let out = exec(&qb.finish(), cat)?;
-    let rows = extract_grouped(&out.returns[0], &[&out.returns[1]]);
-    Ok(QueryResult::new(
-        rows.into_iter()
+    Lowered::new(qb.finish(), |out| {
+        grouped(out, 1)
+            .into_iter()
             .filter(|(_, v)| v[0] != 0)
             .map(|(k, v)| vec![k, v[0]])
-            .collect(),
-    ))
+            .collect()
+    })
 }
 
-fn q11(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q11(cat: &Catalog) -> Lowered {
     let (nation, frac_den) = params::q11();
     let nk = nation_key(cat, nation);
     let n_part = len_of(cat, "part");
@@ -443,18 +441,17 @@ fn q11(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     qb.ret(kf);
     qb.ret(sums[0]);
     qb.ret(total);
-    let out = exec(&qb.finish(), cat)?;
-    let total = extract_scalar(&out.returns[2]);
-    let rows = extract_grouped(&out.returns[0], &[&out.returns[1]]);
-    Ok(QueryResult::new(
-        rows.into_iter()
+    Lowered::new(qb.finish(), move |out| {
+        let total = extract_scalar(&out.returns[2]);
+        grouped(out, 1)
+            .into_iter()
             .filter(|(_, v)| v[0] * frac_den > total)
             .map(|(k, v)| vec![k, v[0]])
-            .collect(),
-    ))
+            .collect()
+    })
 }
 
-fn q12(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q12(cat: &Catalog) -> Lowered {
     let (m1, m2, lo, hi) = params::q12();
     let c1 = code_of(cat, "lineitem", "l_shipmode", m1);
     let c2 = code_of(cat, "lineitem", "l_shipmode", m2);
@@ -487,20 +484,16 @@ fn q12(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     for s in &sums {
         qb.ret(*s);
     }
-    let out = exec(&qb.finish(), cat)?;
-    let rows = extract_grouped(
-        &out.returns[0],
-        &[&out.returns[1], &out.returns[2], &out.returns[3]],
-    );
-    Ok(QueryResult::new(
-        rows.into_iter()
+    Lowered::new(qb.finish(), move |out| {
+        grouped(out, 3)
+            .into_iter()
             .filter(|(_, v)| v[2] > 0)
             .map(|(k, v)| vec![mode_rank[k as usize], v[0], v[1]])
-            .collect(),
-    ))
+            .collect()
+    })
 }
 
-fn q14(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q14() -> Lowered {
     let (lo, hi) = params::q14_window();
     let mut qb = QB::new();
     let li = qb.table("lineitem");
@@ -517,14 +510,15 @@ fn q14(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     let promo_rev = qb.global_sum(prev);
     qb.ret(promo_rev);
     qb.ret(total);
-    let out = exec(&qb.finish(), cat)?;
-    Ok(QueryResult::new(vec![vec![
-        extract_scalar(&out.returns[0]),
-        extract_scalar(&out.returns[1]),
-    ]]))
+    Lowered::new(qb.finish(), |out| {
+        vec![vec![
+            extract_scalar(&out.returns[0]),
+            extract_scalar(&out.returns[1]),
+        ]]
+    })
 }
 
-fn q15(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q15(cat: &Catalog) -> Lowered {
     let (lo, hi) = params::q15_window();
     let n_supp = len_of(cat, "supplier");
     let mut qb = QB::new();
@@ -537,19 +531,18 @@ fn q15(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     let (kf, sums) = qb.group_sums(key, n_supp, &[mrev]);
     qb.ret(kf);
     qb.ret(sums[0]);
-    let out = exec(&qb.finish(), cat)?;
-    let rows = extract_grouped(&out.returns[0], &[&out.returns[1]]);
-    // Finishing arg-max over the (small) grouped output.
-    let max = rows.iter().map(|(_, v)| v[0]).max().unwrap_or(0);
-    Ok(QueryResult::new(
+    Lowered::new(qb.finish(), |out| {
+        let rows = grouped(out, 1);
+        // Finishing arg-max over the (small) grouped output.
+        let max = rows.iter().map(|(_, v)| v[0]).max().unwrap_or(0);
         rows.into_iter()
             .filter(|(_, v)| v[0] == max && v[0] > 0)
             .map(|(k, v)| vec![k, v[0]])
-            .collect(),
-    ))
+            .collect()
+    })
 }
 
-fn q19(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q19(cat: &Catalog) -> Lowered {
     let triples = params::q19();
     let air = code_of(cat, "lineitem", "l_shipmode", "AIR");
     let regair = code_of(cat, "lineitem", "l_shipmode", "REG AIR");
@@ -582,22 +575,26 @@ fn q19(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     let mrev = qb.masked(rev, m);
     let s = qb.global_sum(mrev);
     qb.ret(s);
-    let out = exec(&qb.finish(), cat)?;
-    Ok(QueryResult::new(vec![vec![extract_scalar(
-        &out.returns[0],
-    )]]))
+    Lowered::new(qb.finish(), |out| {
+        vec![vec![extract_scalar(&out.returns[0])]]
+    })
 }
 
-fn q20(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
+fn q20(cat: &Catalog) -> Lowered {
     let (_, nation, lo, hi) = params::q20();
     let nk = nation_key(cat, nation);
     let n_supp = len_of(cat, "supplier") as i64;
     let n_ps = len_of(cat, "partsupp");
     let stride = (n_supp / 4).max(1);
-
-    // Phase A: shipped quantity per partsupp row within the window.
     let mut qb = QB::new();
     let li = qb.table("lineitem");
+    let ps = qb.table("partsupp");
+    let supplier = qb.table("supplier");
+    let part = qb.table("part");
+    let forest = qb.table(aux::NAME_FOREST);
+
+    // Subquery: shipped quantity per partsupp row within the window.
+    // Masked rows add 0 to group 0, so no count column is needed.
     let m = qb.in_range(li, ".l_shipdate", lo, hi);
     let diff = qb.bin(BinOp::Subtract, li, ".l_suppkey", li, ".l_partkey");
     let rem = qb.p.mod_const(diff, n_supp);
@@ -610,82 +607,32 @@ fn q20(cat: &Catalog, exec: &mut Exec<'_>) -> Result<QueryResult> {
     let qty =
         qb.p.project(li, KeyPath::new(".l_quantity"), KeyPath::val());
     let mqty = qb.masked(qty, m);
-    let mcnt = qb.p.project(m, KeyPath::val(), KeyPath::val());
-    let (kf, sums) = qb.group_sums(key, n_ps, &[mqty, mcnt]);
-    qb.ret(kf);
-    qb.ret(sums[0]);
-    qb.ret(sums[1]);
-    let out = exec(&qb.finish(), cat)?;
-    let rows = extract_grouped(&out.returns[0], &[&out.returns[1], &out.returns[2]]);
-    let mut shipped = vec![0i64; n_ps];
-    for (k, v) in rows {
-        if v[1] > 0 {
-            shipped[k as usize] = v[0];
-        }
-    }
+    let (kf, sums) = qb.group_sums(key, n_ps, &[mqty]);
+    // Scattered onto partsupp positions by group key: a row no lineitem
+    // ships to reads ε, and ε drops out of every mask and sum below.
+    let shipped = qb.p.scatter(sums[0], ps, kf);
 
-    // Phase B: stage the subquery result and finish over partsupp
-    // (MonetDB-style multi-statement plan with an intermediate BAT).
-    let mut stage = Catalog::in_memory();
-    let ps_t = cat.table("partsupp").expect("partsupp");
-    let mut ps_copy = Table::new("partsupp");
-    for c in ps_t.merged_columns() {
-        ps_copy.add_column(c);
-    }
-    stage.insert_table(ps_copy);
-    let supp_t = cat.table("supplier").expect("supplier");
-    let mut supp_copy = Table::new("supplier");
-    for c in supp_t.merged_columns() {
-        supp_copy.add_column(c);
-    }
-    stage.insert_table(supp_copy);
-    let part_t = cat.table("part").expect("part");
-    let mut part_copy = Table::new("part");
-    for c in part_t.merged_columns() {
-        if c.name == "p_name" {
-            part_copy.add_column(c);
-        }
-    }
-    stage.insert_table(part_copy);
-    let forest_t = cat
-        .table(aux::NAME_FOREST)
-        .expect("prepare() staged aux tables");
-    let mut forest_copy = Table::new(aux::NAME_FOREST);
-    for c in forest_t.merged_columns() {
-        forest_copy.add_column(c);
-    }
-    stage.insert_table(forest_copy);
-    stage.put_i64_column("__q20_shipped", &shipped);
-
-    let mut qb = QB::new();
-    let ps = qb.table("partsupp");
-    let supplier = qb.table("supplier");
-    let part = qb.table("part");
-    let forest = qb.table(aux::NAME_FOREST);
-    let shipped_t = qb.table("__q20_shipped");
+    // Outer query over partsupp.
     let p = qb.fk_gather(part, ps, ".ps_partkey");
     let isf_g = qb.fk_gather(forest, p, ".p_name");
     let isf = qb.bin_c(BinOp::Greater, isf_g, ".val", 0);
-    let shippedv = qb.p.project(shipped_t, KeyPath::val(), KeyPath::val());
-    let has = qb.bin_c(BinOp::Greater, shippedv, ".val", 0);
+    let has = qb.bin_c(BinOp::Greater, shipped, ".val", 0);
     let avail2 = qb.bin_c(BinOp::Multiply, ps, ".ps_availqty", 2);
-    let enough = qb.p.binary(BinOp::Greater, avail2, shippedv);
+    let enough = qb.p.binary(BinOp::Greater, avail2, shipped);
     let supp = qb.fk_gather(supplier, ps, ".ps_suppkey");
     let isnat = qb.eq_c(supp, ".s_nationkey", nk);
     let m = qb.and(&[isf, has, enough, isnat]);
-    let key_raw =
+    let key =
         qb.p.project(ps, KeyPath::new(".ps_suppkey"), KeyPath::val());
-    let key = qb.masked(key_raw, m);
     let mcnt = qb.p.project(m, KeyPath::val(), KeyPath::val());
     let (kf, sums) = qb.group_sums(key, n_supp as usize, &[mcnt]);
     qb.ret(kf);
     qb.ret(sums[0]);
-    let out = exec(&qb.finish(), &stage)?;
-    let rows = extract_grouped(&out.returns[0], &[&out.returns[1]]);
-    Ok(QueryResult::new(
-        rows.into_iter()
+    Lowered::new(qb.finish(), |out| {
+        grouped(out, 1)
+            .into_iter()
             .filter(|(_, v)| v[0] > 0)
             .map(|(k, _)| vec![k])
-            .collect(),
-    ))
+            .collect()
+    })
 }

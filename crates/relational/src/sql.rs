@@ -25,10 +25,11 @@
 //! the group domain from the column's min/max statistics — the paper's
 //! "identity hashing ... using only min and max").
 
-use voodoo_core::{AggKind, BinOp, KeyPath, Program, Result, VRef, VoodooError};
+use voodoo_core::{AggKind, BinOp, KeyPath, Result, VRef, VoodooError};
+use voodoo_interp::ExecOutput;
 use voodoo_storage::Catalog;
 
-use crate::builder::{extract_grouped, extract_scalar, QB};
+use crate::builder::{extract_grouped, extract_scalar, Lowered, QB};
 
 /// A parsed query.
 #[derive(Debug, Clone, PartialEq)]
@@ -406,7 +407,7 @@ impl Parser {
 /// How one visible output column is computed from the returned aggregate
 /// vectors (slots index the agg vectors after the group key, if any).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutCol {
+enum OutCol {
     /// The slot's folded value, as-is (`SUM`, `COUNT(*)`).
     Plain(usize),
     /// The slot's folded value, but 0 when no row qualified — `MIN`/`MAX`,
@@ -414,22 +415,6 @@ pub enum OutCol {
     Guarded(usize),
     /// `AVG`: the slot holds the sum; divide by the count slot.
     Avg(usize),
-}
-
-/// Lower a parsed query to a Voodoo program (returned alongside metadata
-/// needed to extract rows).
-pub struct LoweredQuery {
-    /// The Voodoo program.
-    pub program: Program,
-    /// Whether results are grouped (vs a single global row).
-    pub grouped: bool,
-    /// Number of visible aggregate output columns.
-    pub aggs: usize,
-    /// Recipe for each visible output column, in `SELECT` order.
-    pub outputs: Vec<OutCol>,
-    /// Slot index of the qualifying-row count (always present for grouped
-    /// queries; present globally when `MIN`/`MAX`/`AVG` need the guard).
-    pub count_slot: Option<usize>,
 }
 
 /// `MIN`'s identity sentinel: masked-out rows contribute this value, which
@@ -451,8 +436,9 @@ fn lower_expr(qb: &mut QB, table: VRef, e: &Expr) -> Result<VRef> {
     })
 }
 
-/// Lower a query against a catalog.
-pub fn lower(cat: &Catalog, q: &SqlQuery) -> Result<LoweredQuery> {
+/// Lower a query against a catalog: one program, and the extraction of its
+/// rows (see [`extract_rows`]).
+pub fn lower(cat: &Catalog, q: &SqlQuery) -> Result<Lowered> {
     let stats_domain = |col: &str| -> Result<usize> {
         let s = cat
             .column_stats(&q.table, col)
@@ -541,8 +527,6 @@ pub fn lower(cat: &Catalog, q: &SqlQuery) -> Result<LoweredQuery> {
             Item::Column(_) => continue,
         }
     }
-    let aggs = outputs.len();
-
     // Qualifying-row count: group-emptiness filter, MIN/MAX guard and AVG
     // denominator, staged as the trailing slot.
     let count_slot = if needs_count {
@@ -557,7 +541,7 @@ pub fn lower(cat: &Catalog, q: &SqlQuery) -> Result<LoweredQuery> {
         None
     };
 
-    match &q.group_by {
+    let grouped = match &q.group_by {
         Some(col) => {
             let domain = stats_domain(col)?;
             let key = qb.p.project(table, KeyPath::new(col), KeyPath::val());
@@ -566,13 +550,7 @@ pub fn lower(cat: &Catalog, q: &SqlQuery) -> Result<LoweredQuery> {
             for s in sums {
                 qb.ret(s);
             }
-            Ok(LoweredQuery {
-                program: qb.finish(),
-                grouped: true,
-                aggs,
-                outputs,
-                count_slot,
-            })
+            true
         }
         None => {
             for (v, kind) in vals {
@@ -580,19 +558,29 @@ pub fn lower(cat: &Catalog, q: &SqlQuery) -> Result<LoweredQuery> {
                     qb.p.fold_agg_kp(kind, v, None, KeyPath::val(), KeyPath::val());
                 qb.ret(s);
             }
-            Ok(LoweredQuery {
-                program: qb.finish(),
-                grouped: false,
-                aggs,
-                outputs,
-                count_slot,
-            })
+            false
         }
-    }
+    };
+    Ok(Lowered::new(qb.finish(), move |out| {
+        rows(grouped, &outputs, count_slot, out)
+    }))
 }
 
-/// Extract the final result rows from a lowered query's outputs.
-pub fn extract_rows(lowered: &LoweredQuery, out: &voodoo_interp::ExecOutput) -> Vec<Vec<i64>> {
+/// Extract the final result rows from a lowered query's outputs, sorted.
+pub fn extract_rows(lowered: &Lowered, out: &ExecOutput) -> Vec<Vec<i64>> {
+    (lowered.extract)(out)
+}
+
+/// The rows of a lowered query: `grouped` (vs one global row), a recipe
+/// for each visible output column in `SELECT` order, and the slot of the
+/// qualifying-row count (always present for grouped queries; present
+/// globally when `MIN`/`MAX`/`AVG` need the guard).
+fn rows(
+    grouped: bool,
+    outputs: &[OutCol],
+    count_slot: Option<usize>,
+    out: &ExecOutput,
+) -> Vec<Vec<i64>> {
     // Resolve one visible column from the folded slot values (tolerating
     // short outputs, e.g. a caller substituting a default ExecOutput after
     // an engine error).
@@ -616,20 +604,20 @@ pub fn extract_rows(lowered: &LoweredQuery, out: &voodoo_interp::ExecOutput) -> 
             }
         }
     };
-    if lowered.grouped {
+    if grouped {
         if out.returns.is_empty() {
             return Vec::new();
         }
         let sums: Vec<&voodoo_core::StructuredVector> = out.returns[1..].iter().collect();
         let rows = extract_grouped(&out.returns[0], &sums);
-        let count_slot = lowered.count_slot.expect("grouped queries always count");
+        let count_slot = count_slot.expect("grouped queries always count");
         let mut result: Vec<Vec<i64>> = rows
             .into_iter()
             .filter(|(_, v)| v[count_slot] > 0)
             .map(|(k, v)| {
                 let count = v[count_slot];
                 let mut row = vec![k];
-                row.extend(lowered.outputs.iter().map(|c| resolve(c, &v, count)));
+                row.extend(outputs.iter().map(|c| resolve(c, &v, count)));
                 row
             })
             .collect();
@@ -637,15 +625,10 @@ pub fn extract_rows(lowered: &LoweredQuery, out: &voodoo_interp::ExecOutput) -> 
         result
     } else {
         let slots: Vec<i64> = out.returns.iter().map(extract_scalar).collect();
-        let count = lowered
-            .count_slot
+        let count = count_slot
             .map(|s| slots.get(s).copied().unwrap_or(0))
             .unwrap_or(i64::MAX);
-        vec![lowered
-            .outputs
-            .iter()
-            .map(|c| resolve(c, &slots, count))
-            .collect()]
+        vec![outputs.iter().map(|c| resolve(c, &slots, count)).collect()]
     }
 }
 

@@ -11,10 +11,11 @@
 //!   an engine; batches, serve queues and shards carry bare specs.
 //! * `drive` is the **only** code that walks a statement's programs:
 //!   it lowers the spec and hands each program, with the catalog it runs
-//!   against and its (lazily) prepared plan, to a `Visit` callback.
-//!   Running and profiling are executing visitors; explaining and
-//!   verifying are inspecting ones — dry walks that run nothing (bar the
-//!   earlier stages of a staged plan). Four short closures over one walk.
+//!   against and its (lazily) prepared plan, to a `Visit` callback. SQL
+//!   and TPC-H lower alike, to one [`Lowered`](crate::builder::Lowered)
+//!   program and its row extraction. Running and profiling are executing visitors; explaining
+//!   and verifying are inspecting ones — dry walks that run nothing.
+//!   Four short closures over one walk.
 //! * `footprint` is the only other per-kind function: the table read
 //!   set the shard router plans from.
 //!
@@ -31,7 +32,7 @@ use std::sync::Arc;
 
 use voodoo_backend::{PlanProfile, PreparedPlan};
 use voodoo_compile::EventProfile;
-use voodoo_core::{Diagnostic, Pass, Program, Result, VoodooError};
+use voodoo_core::{Diagnostic, Pass, Program, Result};
 use voodoo_interp::ExecOutput;
 use voodoo_storage::{Catalog, CatalogSnapshot};
 use voodoo_tpch::queries::{Query, QueryResult};
@@ -156,8 +157,9 @@ pub(crate) fn footprint(spec: &StatementSpec) -> Footprint<'_> {
 // ---------------------------------------------------------------------
 
 /// One program of a statement's walk: the program, the catalog it runs
-/// against (the statement's snapshot, or a staged scratch catalog for
-/// multi-program plans) and — on demand — its prepared plan.
+/// against (the statement's snapshot, or the snapshot a view refresh
+/// pinned for its own stage programs) and — on demand — its prepared
+/// plan.
 pub(crate) struct Stage<'a> {
     ctx: &'a ExecCtx<'a>,
     pub(crate) program: &'a Program,
@@ -184,33 +186,19 @@ impl<'a> Stage<'a> {
 /// What a [`drive`] caller does with each program of a statement.
 pub(crate) enum Visit<'v> {
     /// Execute it (run, profile). The output feeds the statement's result
-    /// extraction and any later program staged from it.
+    /// extraction.
     Execute(&'v mut dyn FnMut(&Stage<'_>) -> Result<ExecOutput>),
-    /// Look at it without executing (explain, verify): a dry walk. Only a
-    /// staged plan (TPC-H Q20) still runs its earlier programs, plainly,
-    /// because the later ones are discovered from their outputs.
+    /// Look at it without executing (explain, verify): a dry walk.
     Inspect(&'v mut dyn FnMut(&Stage<'_>) -> Result<()>),
 }
 
 impl Visit<'_> {
-    /// Visit the only program of a single-program statement: an
-    /// inspection ends the walk here, with no output.
+    /// Visit the only program of a statement: an inspection ends the walk
+    /// here, with no output.
     fn only(&mut self, stage: &Stage<'_>) -> Result<Option<ExecOutput>> {
         match self {
             Visit::Execute(f) => f(stage).map(Some),
             Visit::Inspect(f) => f(stage).map(|()| None),
-        }
-    }
-
-    /// Visit one program of a staged plan, whose output the next stage
-    /// needs either way.
-    fn staged(&mut self, stage: &Stage<'_>) -> Result<ExecOutput> {
-        match self {
-            Visit::Execute(f) => f(stage),
-            Visit::Inspect(f) => {
-                f(stage)?;
-                stage.plan()?.execute(stage.catalog)
-            }
         }
     }
 }
@@ -229,42 +217,39 @@ pub(crate) fn drive(
     visit: &mut Visit<'_>,
 ) -> Result<Option<StatementOutput>> {
     let cat = ctx.catalog();
-    match &spec.kind {
-        SpecKind::Program(p) => Ok(visit
-            .only(&Stage::new(ctx, p, cat))?
-            .map(StatementOutput::Raw)),
-        SpecKind::Sql(parsed) => {
-            let lowered = sql::lower(cat, parsed.as_ref().map_err(Clone::clone)?)?;
-            let out = visit.only(&Stage::new(ctx, &lowered.program, cat))?;
-            Ok(out.map(|out| {
-                StatementOutput::Rows(QueryResult::new(sql::extract_rows(&lowered, &out)))
-            }))
+    let lowered = match &spec.kind {
+        SpecKind::Program(p) => {
+            return Ok(visit
+                .only(&Stage::new(ctx, p, cat))?
+                .map(StatementOutput::Raw))
         }
-        SpecKind::Tpch(q) => {
-            let rows =
-                queries::run_query(cat, *q, &mut |p, c| visit.staged(&Stage::new(ctx, p, c)))?;
-            Ok(Some(StatementOutput::Rows(rows)))
-        }
-        SpecKind::View(name) => match visit {
-            // A dry walk never refreshes: it looks at the full-recompute
-            // program of each side of the definition.
-            Visit::Inspect(f) => {
-                let def = ctx
-                    .engine()
-                    .view_def(name)
-                    .ok_or_else(|| unknown_view(name))?;
-                let join = def.join.as_ref().map(|j| j.right.full_program());
-                for p in std::iter::once(def.source.full_program()).chain(join) {
-                    f(&Stage::new(ctx, &p, cat))?;
+        SpecKind::Sql(parsed) => sql::lower(cat, parsed.as_ref().map_err(Clone::clone)?)?,
+        SpecKind::Tpch(q) => queries::plan(cat, *q)?,
+        SpecKind::View(name) => {
+            return match visit {
+                // A dry walk never refreshes: it looks at the full-recompute
+                // program of each side of the definition.
+                Visit::Inspect(f) => {
+                    let def = ctx
+                        .engine()
+                        .view_def(name)
+                        .ok_or_else(|| unknown_view(name))?;
+                    let join = def.join.as_ref().map(|j| j.right.full_program());
+                    for p in std::iter::once(def.source.full_program()).chain(join) {
+                        f(&Stage::new(ctx, &p, cat))?;
+                    }
+                    Ok(None)
                 }
-                Ok(None)
-            }
-            Visit::Execute(f) => ctx
-                .engine()
-                .refresh_view(name, &mut |p, c| f(&Stage::new(ctx, p, c)))
-                .map(|rows| Some(StatementOutput::Rows(rows))),
-        },
-    }
+                Visit::Execute(f) => ctx
+                    .engine()
+                    .refresh_view(name, &mut |p, c| f(&Stage::new(ctx, p, c)))
+                    .map(|rows| Some(StatementOutput::Rows(rows))),
+            };
+        }
+    };
+    // The relational frontends: one program, then its row extraction.
+    let out = visit.only(&Stage::new(ctx, &lowered.program, cat))?;
+    Ok(out.map(|out| StatementOutput::Rows(QueryResult::new((lowered.extract)(&out)))))
 }
 
 impl Engine {
@@ -314,11 +299,8 @@ impl Engine {
     /// the walk itself (SQL parse or lowering, an unknown view or
     /// backend) is reported as one [`Pass::Structure`] diagnostic.
     ///
-    /// Staged TPC-H plans are the one exception to "no execution": their
-    /// later programs are discovered by running the earlier ones (on the
-    /// statement's backend, through the plan cache), exactly like
-    /// [`Statement::explain`]. A view verifies the full-recompute program
-    /// of each side of its definition and never refreshes.
+    /// A view verifies the full-recompute program of each side of its
+    /// definition and never refreshes.
     ///
     /// [`EngineMetrics`]: crate::EngineMetrics
     pub fn verify_spec(&self, spec: &StatementSpec) -> Vec<Diagnostic> {
@@ -333,11 +315,8 @@ impl Engine {
                 }),
             )
             .into_result();
-        match walked {
-            // A staged program rejected at prepare: the visitor has
-            // already collected the same diagnostics for it.
-            Ok(_) | Err(VoodooError::Rejected(_)) => {}
-            Err(e) => diags.push(Diagnostic::program(Pass::Structure, e.to_string())),
+        if let Err(e) = walked {
+            diags.push(Diagnostic::program(Pass::Structure, e.to_string()));
         }
         diags
     }
@@ -421,8 +400,9 @@ impl StatementOutput {
 /// Aggregate profile of one statement execution (all programs of its plan).
 #[derive(Debug, Clone, Default)]
 pub struct RunProfile {
-    /// Number of Voodoo programs executed (most queries: 1; Q20: 2; an
-    /// up-to-date view read: 0).
+    /// Number of Voodoo programs executed (a program, SQL or TPC-H
+    /// statement: 1; a view read: whatever its refresh ran, 0 when up to
+    /// date).
     pub programs: usize,
     /// Merged architectural events across programs.
     pub events: EventProfile,
@@ -486,14 +466,13 @@ impl Statement {
 
     /// [`Self::explain`] on a named backend.
     ///
-    /// Explaining prepares (and plan-caches) the statement's programs but
-    /// does not execute them, and is not a served statement. Staged TPC-H
-    /// plans are the exception: they run their earlier programs to
-    /// discover the later ones. A view explains the full-recompute
-    /// program of each side of its definition and never refreshes.
+    /// Explaining prepares (and plan-caches) the statement's program but
+    /// does not execute it, and is not a served statement. A view explains
+    /// the full-recompute program of each side of its definition and
+    /// never refreshes.
     ///
-    /// A statement with one program renders as that plan's bare text;
-    /// several programs render as `== program i/n ==` sections.
+    /// A statement with one program renders as that plan's bare text; a
+    /// join view's two programs render as `== program i/n ==` sections.
     pub fn explain_on(&self, backend: &str) -> Result<String> {
         self.explain_with(Some(backend))
     }

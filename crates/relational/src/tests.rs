@@ -22,10 +22,9 @@ fn voodoo_interp_matches_hyper_on_all_queries() {
         let h = voodoo_baselines::hyper::run(&cat, q);
         let v = run_query_on(&InterpBackend::new(), &cat, q).expect("interp");
         assert_eq!(h, v, "{} differs (interp)", q.name());
-        // Queries gated on rare nation pairs or thresholds (Q7, Q8, Q11,
-        // Q20) can legitimately be empty at tiny scales; every other query
-        // must produce rows.
-        if !matches!(q, Query::Q7 | Query::Q8 | Query::Q11 | Query::Q20) {
+        // Queries gated on a rare nation pair or a threshold (Q7, Q11) are
+        // empty at this scale; every other query must produce rows.
+        if !matches!(q, Query::Q7 | Query::Q11) {
             assert!(
                 !h.is_empty(),
                 "{} should produce rows at this scale",
@@ -56,7 +55,7 @@ fn voodoo_compiled_multithreaded_matches() {
     }
 }
 
-/// `queries::run_query` hands every lowered program to its executor
+/// `queries::run_query` hands the lowered program to its executor
 /// callback: results flow back through it, and executor failures
 /// propagate as errors instead of panicking.
 #[test]
@@ -74,6 +73,25 @@ fn run_query_propagates_executor_results_and_errors() {
         Err(voodoo_core::VoodooError::Backend("boom".into()))
     });
     assert!(err.is_err());
+}
+
+/// The shard router's static footprint covers everything a plan loads:
+/// the analyzer's read set of every lowered program is a subset of
+/// `queries::query_tables`.
+#[test]
+fn query_tables_cover_every_program_read_set() {
+    let cat = catalog();
+    for q in CPU_QUERIES {
+        let footprint = crate::queries::query_tables(q);
+        let lowered = crate::queries::plan(&cat, q).expect("plans");
+        for t in voodoo_verify::read_set(&lowered.program) {
+            assert!(
+                footprint.contains(&t.as_str()),
+                "{}: the program reads {t}, missing from query_tables",
+                q.name()
+            );
+        }
+    }
 }
 
 #[test]

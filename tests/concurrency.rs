@@ -62,9 +62,9 @@ fn eight_threads_are_bit_identical_to_the_serial_run() {
     // Cache accounting: every thread ran every statement on the default
     // backend, but preparation is single-flight, so combined misses stay
     // bounded by the distinct-program count (each statement lowers to one
-    // Voodoo program except Q20, which stages two) plus any evictions.
+    // Voodoo program) plus any evictions.
     let stats = shared.cache_stats();
-    let distinct_programs = (CPU_QUERIES.len() + 1 + SQL_QUERIES.len()) as u64;
+    let distinct_programs = (CPU_QUERIES.len() + SQL_QUERIES.len()) as u64;
     assert!(
         stats.misses <= distinct_programs + stats.evictions,
         "misses {} > distinct programs {} + evictions {}",

@@ -39,7 +39,7 @@ const GOLDEN: [Golden; 21] = [
     ("Q14", "cpu", 1, 1, 0x58b759708c6b1209, [0, 0, 106569, 0, 71046, 866104, 21765, 1600, 16, 0, 1, 1, 11841, 11]),
     ("Q15", "cpu", 1, 1, 0xaf0ad8d048c599a5, [0, 0, 94728, 0, 35523, 568368, 0, 0, 0, 0, 1, 11841, 11841, 11]),
     ("Q19", "cpu", 1, 1, 0x7ef62ac6ecf3f30d, [0, 0, 47364, 0, 461799, 1112276, 55896, 3200, 8, 0, 1, 1, 11841, 11]),
-    ("Q20", "cpu", 2, 2, 0x4bfee2533453a3d9, [0, 0, 259861, 0, 93446, 1216220, 624, 2088, 0, 0, 2, 13441, 13441, 11]),
+    ("Q20", "cpu", 1, 3, 0x1c284bb0daad9994, [0, 0, 242296, 0, 43951, 1057748, 682, 2088, 0, 1138, 3, 25282, 25282, 11]),
     ("Q1", "gpu", 1, 1, 0x9f67c9fea00c54b8, [0, 0, 224979, 0, 23682, 852552, 0, 0, 0, 0, 1, 11841, 11841, 11]),
     ("Q4", "gpu", 1, 2, 0x1b16fc25f84dfce5, [0, 0, 46999, 0, 20055, 375992, 0, 0, 0, 7551, 2, 14841, 14841, 11]),
     ("Q5", "gpu", 1, 1, 0x7d0ce4c4e3d2316f, [0, 0, 71046, 0, 82887, 1135576, 11986, 24000, 0, 0, 1, 11841, 11841, 11]),
@@ -65,7 +65,7 @@ const FAN_OUT: [(&str, u64, u64); 14] = [
     ("Q14", 8, 8),
     ("Q15", 8, 8),
     ("Q19", 8, 8),
-    ("Q20", 8, 16),
+    ("Q20", 8, 24),
 ];
 
 fn fields(e: &EventProfile) -> [u64; 14] {

@@ -11,8 +11,8 @@
 //! * every failure kind (SQL parse error, unknown view, unknown backend)
 //!   counts as exactly one failure through every door;
 //! * `explain`, `profile` and `verify` drive all four kinds, and the dry
-//!   walks (`explain`, `verify`) are neither served nor — bar staged
-//!   plans — executed;
+//!   walks (`explain`, `verify`) are neither served nor executed — TPC-H
+//!   included, since every query lowers to one program;
 //! * plan-cache traffic is attributed to serve sessions *exactly*;
 //! * view builds and reads run in the same scope as everything else —
 //!   on the engine's own morsel pool, visible in its scheduling metrics.
@@ -24,7 +24,9 @@ use voodoo::compile::MorselPool;
 use voodoo::core::{Buffer, Program};
 use voodoo::faults::FaultPlan;
 use voodoo::relational::shard::{Router, ShardedEngine};
-use voodoo::relational::{Engine, ServeConfig, StatementOutput, StatementSpec};
+use voodoo::relational::sql;
+use voodoo::relational::views::view_def_from_sql;
+use voodoo::relational::{Engine, JoinDef, ServeConfig, Source, StatementOutput, StatementSpec};
 use voodoo::storage::{Catalog, Table, TableColumn};
 use voodoo::tpch::queries::Query;
 
@@ -235,11 +237,26 @@ fn explain_profile_and_verify_drive_every_kind() {
             .unwrap_or_else(|e| panic!("{label}: gpu profile: {e}"));
         assert_eq!(gpu.simulated_seconds.is_some(), label != "view", "{label}");
     }
-    // A staged plan explains as one section per program.
-    let q20 = doors.engine.query(Query::Q20).explain().expect("Q20");
+    // A join view explains as one section per side of its definition.
+    let mut def = view_def_from_sql(&sql::parse("SELECT COUNT(*), SUM(val) FROM t").unwrap())
+        .expect("view def");
+    def.join = Some(JoinDef {
+        right: Source::scan("t", &["val"]),
+        left_key: 0,
+        right_key: 0,
+    });
+    doors
+        .engine
+        .create_view_def("t_self_join", def)
+        .expect("join view");
+    let joined = doors
+        .engine
+        .statement(StatementSpec::view("t_self_join"))
+        .explain()
+        .expect("join view explain");
     assert!(
-        q20.starts_with("== program 1/2 ==\n") && q20.contains("\n== program 2/2 ==\n"),
-        "{q20}"
+        joined.starts_with("== program 1/2 ==\n") && joined.contains("\n== program 2/2 ==\n"),
+        "{joined}"
     );
     for (label, spec) in failures() {
         let stmt = doors.engine.statement(spec);
@@ -250,10 +267,10 @@ fn explain_profile_and_verify_drive_every_kind() {
     doors.sharded.shutdown();
 }
 
-/// `verify` and `explain` are dry walks: not served statements, and — for
-/// every kind but a staged TPC-H plan, which runs its earlier programs to
-/// discover the later ones — nothing executes. `verify` does not even
-/// prepare: no backend work, no plan-cache traffic.
+/// `verify` and `explain` are dry walks: not served statements, and
+/// nothing executes — for every kind, and for Q20, whose correlated
+/// subquery lowers into the same program as its outer query. `verify`
+/// does not even prepare: no backend work, no plan-cache traffic.
 #[test]
 fn verify_and_explain_are_dry_walks() {
     let doors = Doors::open();
@@ -273,8 +290,10 @@ fn verify_and_explain_are_dry_walks() {
     };
 
     let server = engine.serve(ServeConfig::default().with_workers(1));
-    for (label, spec) in kinds() {
-        let staged = label == "tpch";
+    let drawn = kinds()
+        .into_iter()
+        .chain([("tpch Q20", StatementSpec::tpch(Query::Q20))]);
+    for (label, spec) in drawn {
         let stmt = engine.statement(spec.clone());
 
         let before = observe();
@@ -287,13 +306,11 @@ fn verify_and_explain_are_dry_walks() {
             "{label}: verify is not a served statement"
         );
         assert_eq!(after.1, before.1, "{label}: verify never refreshes a view");
-        if !staged {
-            assert_eq!(
-                after.2, before.2,
-                "{label}: verify leaves the plan cache alone"
-            );
-            assert_eq!(after.3, before.3, "{label}: verify spends no backend work");
-        }
+        assert_eq!(
+            after.2, before.2,
+            "{label}: verify leaves the plan cache alone"
+        );
+        assert_eq!(after.3, before.3, "{label}: verify spends no backend work");
 
         let before = observe();
         stmt.explain()
@@ -304,18 +321,16 @@ fn verify_and_explain_are_dry_walks() {
             "{label}: explain is not a served statement"
         );
         assert_eq!(after.1, before.1, "{label}: explain never refreshes a view");
-        if !staged {
-            assert_eq!(
-                after.2 .1,
-                before.2 .1 + 1,
-                "{label}: explain prepares once"
-            );
-            assert_eq!(
-                after.3,
-                (before.3 .0 + 1, before.3 .1),
-                "{label}: and never executes"
-            );
-        }
+        assert_eq!(
+            after.2 .1,
+            before.2 .1 + 1,
+            "{label}: explain prepares once"
+        );
+        assert_eq!(
+            after.3,
+            (before.3 .0 + 1, before.3 .1),
+            "{label}: and never executes"
+        );
     }
     server.shutdown();
 

@@ -18,8 +18,9 @@ use std::sync::Arc;
 use proptest::test_runner::TestRng;
 use voodoo::backend::{Backend, CpuBackend, InterpBackend, SimGpuBackend};
 use voodoo::core::{BinOp, KeyPath, Op, Program, ScalarValue, VRef, VoodooError};
-// `queries::run_query` hands out each lowered program of a multi-program
-// query through its executor callback; the audit wants exactly that.
+// `queries::run_query` hands out the lowered program of each query, with
+// the catalog it runs against, through its executor callback; the audit
+// wants exactly that.
 use voodoo::relational::queries::run_query;
 use voodoo::relational::{Session, StatementSpec};
 use voodoo::storage::Catalog;
