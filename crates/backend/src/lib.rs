@@ -613,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_keys_track_the_analyzer_read_set() {
+    fn plan_keys_track_the_analyzer_reads() {
         use crate::cache::PlanKey;
         let (cat, p) = fixture();
         // A dead Load is invisible to the effect analysis, so two

@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the Voodoo paper.
 //!
 //! ```text
-//! repro <fig1/fig9/fig12/fig13/fig14/fig15/fig16/scaling/throughput/overload/sharding/views/ingest/ablate/opt/all> [options]
+//! repro <fig1/fig9/fig12/fig13/fig14/fig15/fig16/scaling/throughput/overload/views/ingest/ablate/opt/all> [options]
 //!   --n=<elements>      microbenchmark input size   (default 1048576)
 //!   --sf=<scale>        TPC-H scale factor          (default 0.02)
 //!   --threads=<t>       CPU threads (scaling: the sweep's max) (default available)
@@ -139,24 +139,6 @@ fn main() {
                 );
             }
         }
-        "sharding" => {
-            let rows = figures::sharding(o.sf, &[1, 2, 4], o.iters);
-            print_rows(
-                &format!(
-                    "Sharding: sustained qps vs shard count at fixed offered load, SF {}",
-                    o.sf
-                ),
-                &rows,
-            );
-            println!("\nscaling per shard count (vs the 1-shard topology):");
-            for r in rows.iter().filter(|r| r.series == "cpu/speedup-vs-1shard") {
-                println!(
-                    "  {:>2} shards: {:>5.2}x sustained throughput",
-                    r.x,
-                    r.seconds.unwrap_or(0.0)
-                );
-            }
-        }
         "ingest" => {
             let rows = figures::ingest(o.n, o.iters.clamp(3, 9));
             print_rows(
@@ -239,7 +221,6 @@ fn main() {
             "scaling",
             "throughput",
             "overload",
-            "sharding",
             "views",
             "ingest",
             "ablate",

@@ -1131,114 +1131,6 @@ pub fn verify_engines(sf: f64) -> Result<(), String> {
     Ok(())
 }
 
-/// The sharding figure: **sustained throughput vs shard count at fixed
-/// offered load** over the sharded serving topology
-/// ([`voodoo_relational::shard::ShardedEngine`]).
-///
-/// The offered load is calibrated once — twice the measured closed-loop
-/// capacity of the 1-shard topology — and then held constant across
-/// every shard count, so the figure isolates what sharding buys: each
-/// added engine brings its own serve queue and worker pool, and
-/// sustained throughput climbs toward the offered rate until routing
-/// (and the scatter-gather merge for cross-shard statements) stops
-/// scaling. The statement mix is half single-shard (Q1, Q6, one SQL
-/// aggregate — routed straight to the owner's queue) and half
-/// cross-shard (Q12, Q14 — scatter probes plus a coordinator merge), so
-/// both paths are always on the clock. The aggregate/per-shard metrics
-/// split is asserted exact on every topology.
-pub fn sharding(sf: f64, shard_counts: &[usize], iters: usize) -> Vec<FigRow> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::{Duration, Instant};
-    use voodoo_relational::shard::{Router, ShardedEngine};
-    use voodoo_relational::{ServeConfig, StatementSpec};
-
-    let catalog = voodoo_tpch::generate(sf);
-    let sql = "SELECT l_returnflag, SUM(l_quantity), COUNT(*) FROM lineitem \
-               GROUP BY l_returnflag";
-    let mix: Vec<StatementSpec> = vec![
-        StatementSpec::tpch(Query::Q1).on("cpu"),
-        StatementSpec::tpch(Query::Q6).on("cpu"),
-        StatementSpec::sql(sql).on("cpu"),
-        StatementSpec::tpch(Query::Q12).on("cpu"),
-        StatementSpec::tpch(Query::Q14).on("cpu"),
-    ];
-    let clients = 4usize;
-    let config = || ServeConfig::default().with_workers(2);
-
-    // Drive `clients` closed-loop threads through one topology; returns
-    // (completed statements, elapsed seconds). `interval` paces a shared
-    // open-loop arrival schedule; `None` runs flat out (calibration).
-    let drive = |sharded: &ShardedEngine, total: usize, interval: Option<Duration>| {
-        let next = AtomicUsize::new(0);
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..clients {
-                scope.spawn(|| {
-                    let session = sharded.session(1);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        if let Some(step) = interval {
-                            let arrival = started + step * i as u32;
-                            if let Some(wait) = arrival.checked_duration_since(Instant::now()) {
-                                std::thread::sleep(wait);
-                            }
-                        }
-                        session
-                            .run(mix[i % mix.len()].clone())
-                            .expect("mix statement");
-                    }
-                });
-            }
-        });
-        started.elapsed().as_secs_f64()
-    };
-
-    // Calibrate: closed-loop capacity of the 1-shard topology, plan
-    // caches warm (the first pass compiles, the measured pass re-runs).
-    let one = ShardedEngine::with_config(catalog.clone(), 1, Router::Hash, config());
-    drive(&one, mix.len(), None);
-    let calib_total = (iters * mix.len()).max(1);
-    let capacity_qps = (calib_total as f64 / drive(&one, calib_total, None)).max(1.0);
-    one.shutdown();
-    let offered_qps = 2.0 * capacity_qps;
-    let interval = Duration::from_secs_f64(1.0 / offered_qps);
-
-    let mut rows = Vec::new();
-    rows.push(FigRow::new("offered-qps", "fixed", Some(offered_qps)));
-    let mut base_qps = None;
-    for &shards in shard_counts {
-        let sharded = ShardedEngine::with_config(catalog.clone(), shards, Router::Hash, config());
-        drive(&sharded, mix.len(), None); // warm every shard's plans
-        let total = (iters * mix.len()).max(1);
-        let elapsed = drive(&sharded, total, Some(interval));
-        let qps = total as f64 / elapsed;
-        let m = sharded.metrics();
-        let split: u64 = m.per_shard.iter().map(|p| p.queries_served).sum::<u64>()
-            + m.coordinator.queries_served;
-        assert_eq!(
-            m.aggregate.queries_served, split,
-            "per-shard metrics must sum to the aggregate exactly"
-        );
-        let x = format!("{shards}");
-        rows.push(FigRow::new("cpu/sustained-qps", &x, Some(qps)));
-        rows.push(FigRow::new(
-            "cpu/speedup-vs-1shard",
-            &x,
-            Some(qps / *base_qps.get_or_insert(qps)),
-        ));
-        rows.push(FigRow::new(
-            "cpu/coordinator-share-pct",
-            &x,
-            Some(100.0 * m.coordinator.queries_served as f64 / split.max(1) as f64),
-        ));
-        sharded.shutdown();
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

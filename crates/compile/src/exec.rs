@@ -836,6 +836,11 @@ impl Executor {
             for &p in &posbuf[..count] {
                 for (fi, f) in folds.iter().enumerate() {
                     let src = sources[f.src.index()].as_ref().expect("vs source").clone();
+                    // A position past the source's end gathers ε, as in
+                    // the interpreter.
+                    if p >= src.len() {
+                        continue;
+                    }
                     if let Some(v) = src.get(f.src_col, p) {
                         accumulate(f.agg, &mut accs[fi], v.cast(f.out_ty));
                         if env.counting {

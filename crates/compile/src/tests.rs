@@ -237,6 +237,99 @@ fn chunked_select_becomes_vectorized() {
     assert_equivalent(&cat, &p);
 }
 
+/// A vectorized selection whose positions run past its gather source:
+/// the selection ranges over the 1000-row `t`, the gather reads the
+/// 100-row `s`. Out-of-range positions gather ε, as in the interpreter.
+#[test]
+fn vectorized_select_gathering_from_a_short_source_reads_eps() {
+    let mut cat = Catalog::in_memory();
+    cat.put_i64_column("t", &(0..1000i64).rev().collect::<Vec<_>>());
+    cat.put_i64_column("s", &(0..100i64).collect::<Vec<_>>());
+    let mut p = Program::new();
+    let t = p.load("t");
+    let s = p.load("s");
+    let pred = p.greater_const(t, 500i64);
+    let ids = p.range_like(0, pred, 1);
+    let chunk_ids = p.div_const(ids, 128);
+    let sel = p.fold_select(chunk_ids, pred);
+    let vals = p.gather(s, sel);
+    let sum = p.fold_sum_global(vals);
+    p.ret(sum);
+
+    assert_eq!(voodoo_verify::diagnostics(&p, &cat), vec![]);
+    let cp = Compiler::new(&cat).compile(&p).unwrap();
+    assert!(
+        cp.units
+            .iter()
+            .any(|u| matches!(u, Unit::Bulk(Bulk::VecSelect { chunk: 128, .. }))),
+        "vectorized pattern detected"
+    );
+    assert_equivalent(&cat, &p);
+}
+
+/// Two folds fused into one vectorized selection, one gathering from the
+/// 100-row `s` and one from the 1000-row `t`: a position past `s` skips
+/// only the fold over `s`.
+#[test]
+fn vectorized_select_keeps_full_source_folds_beside_a_short_one() {
+    let mut cat = Catalog::in_memory();
+    cat.put_i64_column("t", &(0..1000i64).rev().collect::<Vec<_>>());
+    cat.put_i64_column("s", &(0..100i64).collect::<Vec<_>>());
+    let mut p = Program::new();
+    let t = p.load("t");
+    let s = p.load("s");
+    let pred = p.greater_const(t, 500i64);
+    let ids = p.range_like(0, pred, 1);
+    let chunk_ids = p.div_const(ids, 128);
+    let sel = p.fold_select(chunk_ids, pred);
+    let short = p.gather(s, sel);
+    let full = p.gather(t, sel);
+    let short_sum = p.fold_sum_global(short);
+    let full_sum = p.fold_sum_global(full);
+    p.ret(short_sum);
+    p.ret(full_sum);
+
+    assert_eq!(voodoo_verify::diagnostics(&p, &cat), vec![]);
+    let cp = Compiler::new(&cat).compile(&p).unwrap();
+    assert!(
+        cp.units.iter().any(|u| matches!(
+            u,
+            Unit::Bulk(Bulk::VecSelect { chunk: 128, folds, .. }) if folds.len() == 2
+        )),
+        "both gathers fuse into one vectorized selection"
+    );
+    assert_equivalent(&cat, &p);
+}
+
+/// A vectorized selection gathering from an empty source: every
+/// selected position gathers ε.
+#[test]
+fn vectorized_select_gathering_from_an_empty_source_reads_eps() {
+    let mut cat = Catalog::in_memory();
+    cat.put_i64_column("t", &(0..1000i64).rev().collect::<Vec<_>>());
+    cat.put_i64_column("s", &[]);
+    let mut p = Program::new();
+    let t = p.load("t");
+    let s = p.load("s");
+    let pred = p.greater_const(t, 500i64);
+    let ids = p.range_like(0, pred, 1);
+    let chunk_ids = p.div_const(ids, 128);
+    let sel = p.fold_select(chunk_ids, pred);
+    let vals = p.gather(s, sel);
+    let sum = p.fold_sum_global(vals);
+    p.ret(sum);
+
+    assert_eq!(voodoo_verify::diagnostics(&p, &cat), vec![]);
+    let cp = Compiler::new(&cat).compile(&p).unwrap();
+    assert!(
+        cp.units
+            .iter()
+            .any(|u| matches!(u, Unit::Bulk(Bulk::VecSelect { chunk: 128, .. }))),
+        "vectorized pattern detected"
+    );
+    assert_equivalent(&cat, &p);
+}
+
 // ---------------------------------------------------------------------
 // Differential tests (compiled ≡ interpreter)
 // ---------------------------------------------------------------------

@@ -26,7 +26,7 @@ pub enum Pass {
     /// `i64::MIN` / `i64::MAX` identity values its lowering treats as
     /// "masked out"?
     Sentinel,
-    /// Effect analysis: the exact table read/write footprint.
+    /// Effect analysis: the exact table read and write sets.
     Effects,
     /// Parallel-safety classification of statements for the morsel
     /// executor.

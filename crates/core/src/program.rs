@@ -106,7 +106,7 @@ impl Program {
     /// The persistent tables this program touches (`Load` sources and
     /// `Persist` targets), sorted and deduplicated.
     ///
-    /// This is the program's *data footprint*: a prepared plan can only
+    /// These are the program's *data dependencies*: a prepared plan can only
     /// depend on the shapes (schemas, sizes, stats) of these tables, so
     /// caches key plan freshness on their per-table versions and ignore
     /// mutations to everything else.

@@ -452,6 +452,168 @@ mod tests {
         );
     }
 
+    /// `BitShift` against literal bit patterns: the count is masked to
+    /// its low six bits (so 64 shifts by 0 and -1 by 63), bits shifted
+    /// past bit 63 are lost, and the result is `i64` at every width.
+    #[test]
+    fn shift_pins_literal_bit_patterns() {
+        use ScalarValue::{Bool, F64, I32, I64};
+        #[rustfmt::skip]
+        let table: &[(ScalarValue, ScalarValue, u64)] = &[
+            (I64(1), I64(63), 0x8000_0000_0000_0000),
+            (I64(1), I64(64), 1),
+            (I64(1), I64(-1), 0x8000_0000_0000_0000),
+            (I64(3), I64(63), 0x8000_0000_0000_0000),
+            (I64(-1), I64(4), 0xFFFF_FFFF_FFFF_FFF0),
+            (I32(1), I32(40), 0x100_0000_0000),
+            (I32(-1), I32(32), 0xFFFF_FFFF_0000_0000),
+            (Bool(true), I64(2), 4),
+            (F64(2.9), I64(1), 4),
+        ];
+        for &(l, r, want) in table {
+            assert_bits(
+                BinOp::BitShift.eval(l, r),
+                (ScalarType::I64, want),
+                &format!("BitShift({l:?}, {r:?})"),
+            );
+        }
+    }
+
+    /// A value's type and bit pattern: floats by `to_bits`, integers as
+    /// two's-complement bits, booleans as 0/1.
+    fn bits(v: ScalarValue) -> (ScalarType, u64) {
+        match v {
+            ScalarValue::Bool(b) => (ScalarType::Bool, b as u64),
+            ScalarValue::I32(x) => (ScalarType::I32, x as u32 as u64),
+            ScalarValue::I64(x) => (ScalarType::I64, x as u64),
+            ScalarValue::F32(x) => (ScalarType::F32, x.to_bits() as u64),
+            ScalarValue::F64(x) => (ScalarType::F64, x.to_bits()),
+        }
+    }
+
+    /// An expected float result of "some NaN": the sign and payload of a
+    /// NaN computed at run time are the platform's, so only NaN-ness is
+    /// pinned.
+    const NAN_F64: (ScalarType, u64) = (ScalarType::F64, 0x7FF8_0000_0000_0000);
+
+    fn assert_bits(got: ScalarValue, want: (ScalarType, u64), what: &str) {
+        if want == NAN_F64 {
+            assert!(
+                matches!(got, ScalarValue::F64(x) if x.is_nan()),
+                "{what}: {got:?}"
+            );
+        } else {
+            let got = bits(got);
+            assert_eq!(got, want, "{what}: got {:?} {:#x}", got.0, got.1);
+        }
+    }
+
+    /// `BinOp::eval` against literal bit patterns: the rules the
+    /// interpreter defines and every backend must reproduce.
+    #[test]
+    fn eval_pins_literal_bit_patterns() {
+        use ScalarType as T;
+        use ScalarValue::{F32, F64, I32, I64};
+        const INF: f64 = f64::INFINITY;
+        const NAN: f64 = f64::NAN;
+        let (yes, no) = ((T::Bool, 1), (T::Bool, 0));
+        #[rustfmt::skip]
+        let table: &[(BinOp, ScalarValue, ScalarValue, (ScalarType, u64))] = &[
+            // Integer arithmetic wraps.
+            (BinOp::Add, I64(i64::MAX), I64(1), (T::I64, 0x8000_0000_0000_0000)),
+            (BinOp::Subtract, I64(i64::MIN), I64(1), (T::I64, 0x7FFF_FFFF_FFFF_FFFF)),
+            (BinOp::Multiply, I64(i64::MAX), I64(2), (T::I64, 0xFFFF_FFFF_FFFF_FFFE)),
+            (BinOp::Add, I32(i32::MAX), I32(1), (T::I32, 0x8000_0000)),
+            (BinOp::Subtract, I32(i32::MIN), I32(1), (T::I32, 0x7FFF_FFFF)),
+            (BinOp::Multiply, I32(0x1_0000), I32(0x1_0000), (T::I32, 0)),
+            (BinOp::Add, I32(i32::MAX), I64(1), (T::I64, 0x8000_0000)),
+            // MIN / -1 wraps to MIN; MIN % -1 is 0.
+            (BinOp::Divide, I64(i64::MIN), I64(-1), (T::I64, 0x8000_0000_0000_0000)),
+            (BinOp::Modulo, I64(i64::MIN), I64(-1), (T::I64, 0)),
+            (BinOp::Divide, I32(i32::MIN), I32(-1), (T::I32, 0x8000_0000)),
+            (BinOp::Modulo, I32(i32::MIN), I32(-1), (T::I32, 0)),
+            // Integer `/` and `%` by zero yield 0; float ones follow IEEE.
+            (BinOp::Divide, I64(7), I64(0), (T::I64, 0)),
+            (BinOp::Modulo, I64(-7), I64(0), (T::I64, 0)),
+            (BinOp::Divide, I32(-7), I32(0), (T::I32, 0)),
+            (BinOp::Modulo, I32(7), I32(0), (T::I32, 0)),
+            (BinOp::Divide, F64(1.0), F64(0.0), (T::F64, 0x7FF0_0000_0000_0000)),
+            (BinOp::Divide, F64(1.0), F64(-0.0), (T::F64, 0xFFF0_0000_0000_0000)),
+            (BinOp::Divide, I64(-1), F64(0.0), (T::F64, 0xFFF0_0000_0000_0000)),
+            (BinOp::Divide, F32(1.0), F32(0.0), (T::F32, 0x7F80_0000)),
+            (BinOp::Divide, F64(0.0), F64(0.0), NAN_F64),
+            (BinOp::Modulo, F64(1.0), F64(0.0), NAN_F64),
+            // -0.0 keeps its sign bit through arithmetic.
+            (BinOp::Add, F64(-0.0), F64(-0.0), (T::F64, 0x8000_0000_0000_0000)),
+            (BinOp::Subtract, F64(-0.0), F64(0.0), (T::F64, 0x8000_0000_0000_0000)),
+            (BinOp::Multiply, F64(0.0), F64(-1.0), (T::F64, 0x8000_0000_0000_0000)),
+            (BinOp::Multiply, F64(-0.0), I64(1), (T::F64, 0x8000_0000_0000_0000)),
+            (BinOp::Add, F32(-0.0), F32(-0.0), (T::F32, 0x8000_0000)),
+            (BinOp::Subtract, F64(0.0), F64(0.0), (T::F64, 0)),
+            // Comparisons use a total order: -0.0 sorts below +0.0.
+            (BinOp::Equals, F64(-0.0), F64(0.0), no),
+            (BinOp::Less, F64(-0.0), F64(0.0), yes),
+            (BinOp::Equals, F64(-0.0), I64(0), no),
+            // NaN under every comparison: a positive NaN sorts above +inf
+            // and equals itself; a negative one sorts below -inf.
+            (BinOp::Greater, F64(NAN), F64(INF), yes),
+            (BinOp::GreaterEquals, F64(NAN), F64(INF), yes),
+            (BinOp::Less, F64(NAN), F64(INF), no),
+            (BinOp::LessEquals, F64(NAN), F64(INF), no),
+            (BinOp::Equals, F64(NAN), F64(NAN), yes),
+            (BinOp::NotEquals, F64(NAN), F64(NAN), no),
+            (BinOp::Greater, F64(NAN), I64(i64::MAX), yes),
+            (BinOp::Less, F64(-NAN), F64(-INF), yes),
+            (BinOp::Equals, F64(NAN), F64(-NAN), no),
+        ];
+        for &(op, l, r, want) in table {
+            assert_bits(op.eval(l, r), want, &format!("{op:?}({l:?}, {r:?})"));
+        }
+    }
+
+    /// `cast` against literal bit patterns. A float reaches `i32` through
+    /// `i64`: the float saturates into `i64`, then the low 32 bits are
+    /// kept.
+    #[test]
+    fn cast_pins_literal_bit_patterns() {
+        use ScalarType as T;
+        use ScalarValue::{F32, F64, I64};
+        const INF: f64 = f64::INFINITY;
+        #[rustfmt::skip]
+        let table: &[(ScalarValue, ScalarType, u64)] = &[
+            // f64 -> i32: ±inf, NaN and out-of-range values.
+            (F64(INF), T::I32, 0xFFFF_FFFF),
+            (F64(-INF), T::I32, 0),
+            (F64(f64::NAN), T::I32, 0),
+            (F64(3e9), T::I32, 0xB2D0_5E00),
+            (F64(-3e9), T::I32, 0x4D2F_A200),
+            (F64(1e19), T::I32, 0xFFFF_FFFF),
+            (F64(-2.9), T::I32, 0xFFFF_FFFE),
+            (F32(f32::INFINITY), T::I32, 0xFFFF_FFFF),
+            // f64 -> i64 saturates; NaN is 0; truncation is toward zero.
+            (F64(INF), T::I64, 0x7FFF_FFFF_FFFF_FFFF),
+            (F64(-INF), T::I64, 0x8000_0000_0000_0000),
+            (F64(f64::NAN), T::I64, 0),
+            (F64(1e19), T::I64, 0x7FFF_FFFF_FFFF_FFFF),
+            (F64(-1e19), T::I64, 0x8000_0000_0000_0000),
+            (F64(-0.0), T::I64, 0),
+            // i64 -> i32 keeps the low 32 bits.
+            (I64(0x1_0000_0005), T::I32, 5),
+            (I64(0x8000_0000), T::I32, 0x8000_0000),
+            (I64(-1), T::I32, 0xFFFF_FFFF),
+            (I64(i64::MIN), T::I32, 0),
+            (I64(i64::MAX), T::I32, 0xFFFF_FFFF),
+            // -0.0 survives narrowing; it is falsy, NaN is truthy.
+            (F64(-0.0), T::F32, 0x8000_0000),
+            (F64(-0.0), T::Bool, 0),
+            (F64(f64::NAN), T::Bool, 1),
+            (I64(i64::MAX), T::F64, 0x43E0_0000_0000_0000),
+        ];
+        for &(v, ty, want) in table {
+            assert_bits(v.cast(ty), (ty, want), &format!("{v:?} as {ty:?}"));
+        }
+    }
+
     #[test]
     fn casts() {
         assert_eq!(

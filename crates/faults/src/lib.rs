@@ -178,18 +178,6 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Inject `fault` at every execute/profile call in
-    /// `[first, first + count)` — a contiguous outage window rather than
-    /// a point fault. Sharded partial-failure harnesses use this to keep
-    /// one shard's backend down for a whole phase of traffic while the
-    /// other shards stay clean.
-    pub fn fault_execute_range(mut self, first: u64, count: u64, fault: Fault) -> FaultPlanBuilder {
-        for nth in first..first.saturating_add(count) {
-            self.schedule.execute.insert(nth, fault);
-        }
-        self
-    }
-
     /// Scatter `count` copies of `fault` over distinct execute-call
     /// indices in `[0, window)`, drawn from the seed given to
     /// [`FaultPlan::seeded`]. Panics if the builder was not seeded or

@@ -162,48 +162,6 @@ impl EngineMetrics {
             self.rows_delta as f64 / total as f64
         }
     }
-
-    /// Fold another engine's counters into this snapshot — the exact-sum
-    /// aggregation the sharded topology reports
-    /// ([`crate::shard::ShardedMetrics`]): every cumulative counter and
-    /// gauge adds, sample counts add, and the latency/sojourn quantiles
-    /// combine pessimistically (the max over the merged engines — an
-    /// upper bound, since per-engine reservoirs cannot be re-interleaved
-    /// into one exact distribution).
-    pub fn accumulate(&mut self, other: &EngineMetrics) {
-        self.queries_served += other.queries_served;
-        self.failures += other.failures;
-        self.batches_served += other.batches_served;
-        self.queue_depth += other.queue_depth;
-        self.sheds += other.sheds;
-        self.adaptive_sheds += other.adaptive_sheds;
-        self.quota_sheds += other.quota_sheds;
-        self.deadline_drops += other.deadline_drops;
-        self.partitions_used += other.partitions_used;
-        self.parallel_statements += other.parallel_statements;
-        self.pool_tasks += other.pool_tasks;
-        self.steals += other.steals;
-        self.view_hits += other.view_hits;
-        self.delta_refreshes += other.delta_refreshes;
-        self.full_recomputes += other.full_recomputes;
-        self.rows_delta += other.rows_delta;
-        self.rows_full += other.rows_full;
-        self.latency_samples += other.latency_samples;
-        self.sojourn_samples += other.sojourn_samples;
-        self.p50_seconds = max_opt(self.p50_seconds, other.p50_seconds);
-        self.p99_seconds = max_opt(self.p99_seconds, other.p99_seconds);
-        self.sojourn_p50_seconds = max_opt(self.sojourn_p50_seconds, other.sojourn_p50_seconds);
-        self.sojourn_p99_seconds = max_opt(self.sojourn_p99_seconds, other.sojourn_p99_seconds);
-    }
-}
-
-/// The larger of two optional readings (`None` = no samples yet).
-fn max_opt(a: Option<f64>, b: Option<f64>) -> Option<f64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
 }
 
 /// A fixed-size sliding-window latency reservoir.
@@ -714,7 +672,7 @@ impl Engine {
 
     // -- plan cache ---------------------------------------------------
 
-    /// Prepared-plan cache counters, combined over every shard.
+    /// Prepared-plan cache counters, summed over every cache stripe.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }

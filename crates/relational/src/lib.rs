@@ -39,12 +39,6 @@
 //!   queries, SQL, view reads) and every registered
 //!   [`voodoo_backend::Backend`]; [`Statement`]s are `Send`, so many
 //!   threads can prepare/run/profile concurrently against one engine,
-//! * [`shard`] — sharded multi-engine serving: a [`ShardedEngine`] owns
-//!   N engines plus a [`shard::Router`] assigning tables to shards;
-//!   single-shard statements route straight through the owner's serve
-//!   queue, cross-shard statements scatter-gather over their
-//!   analyzer-derived read set, and results stay bit-identical to a
-//!   single engine,
 //! * [`sql`] — a small SQL subset parser lowered through the same builder
 //!   (single-table `SELECT ... FROM ... WHERE ... GROUP BY`),
 //! * [`views`] — materialized views maintained incrementally by the
@@ -156,7 +150,6 @@ pub mod prepare;
 pub mod queries;
 pub mod serve;
 pub mod session;
-pub mod shard;
 pub mod sql;
 pub mod statement;
 pub mod views;
@@ -169,7 +162,6 @@ pub use serve::{
     ServerHandle, SessionServeStats, SubmitError, DEFAULT_QUEUE_CAPACITY,
 };
 pub use session::Session;
-pub use shard::{Router, ShardError, ShardedEngine, ShardedMetrics, ShardedSession};
 pub use statement::{RunProfile, Statement, StatementOutput, StatementSpec};
 pub use views::{
     AggDef, AggFn, AggSpec, JoinDef, MaintainedView, Pred, RefreshKind, SExpr, Source, ViewDef,

@@ -63,63 +63,6 @@ fn grouped(out: &ExecOutput, n: usize) -> Vec<(i64, Vec<i64>)> {
     extract_grouped(&out.returns[0], &sums)
 }
 
-/// The catalog footprint of one query's plan: every table the planner
-/// reads, sorted — the tables its program loads plus the host-side
-/// metadata it resolves while planning (dictionary codes and ranks, the
-/// nation and region keys, table lengths). The shard router
-/// ([`crate::shard`]) plans its scatter set from this list.
-///
-/// It stays a static list instead of the lowered program's
-/// `voodoo_verify::read_set` for two reasons: the router needs the
-/// footprint before any catalog is at hand to plan against, and a plan
-/// reads tables on the host that no program loads (`region` for Q5's
-/// region key, `nation` for Q7's nation keys).
-///
-/// Pinned by the crate test `query_tables_cover_every_program_read_set`:
-/// for every query, the analyzer's read set of the lowered program is a
-/// subset of this list.
-pub fn query_tables(q: Query) -> &'static [&'static str] {
-    match q {
-        Query::Q1 | Query::Q6 => &["lineitem"],
-        Query::Q4 | Query::Q12 => &["lineitem", "orders"],
-        Query::Q5 => &[
-            "customer", "lineitem", "nation", "orders", "region", "supplier",
-        ],
-        Query::Q7 => &["customer", "lineitem", "nation", "orders", "supplier"],
-        Query::Q8 => &[
-            "customer", "lineitem", "nation", "orders", "part", "region", "supplier",
-        ],
-        Query::Q9 => &[
-            aux::NAME_GREEN,
-            aux::YEAR_OF_DAY,
-            "lineitem",
-            "orders",
-            "part",
-            "partsupp",
-            "supplier",
-        ],
-        Query::Q10 => &["customer", "lineitem", "orders"],
-        Query::Q11 => &["nation", "part", "partsupp", "supplier"],
-        Query::Q14 => &[aux::TYPE_PROMO, "lineitem", "part"],
-        Query::Q15 => &["lineitem", "supplier"],
-        Query::Q19 => &[
-            "__aux_p_container_q19_0",
-            "__aux_p_container_q19_1",
-            "__aux_p_container_q19_2",
-            "lineitem",
-            "part",
-        ],
-        Query::Q20 => &[
-            aux::NAME_FOREST,
-            "lineitem",
-            "nation",
-            "part",
-            "partsupp",
-            "supplier",
-        ],
-    }
-}
-
 fn q1(cat: &Catalog) -> Lowered {
     let rf_rank = canon_ranks(cat, "lineitem", "l_returnflag");
     let ls_rank = canon_ranks(cat, "lineitem", "l_linestatus");

@@ -142,11 +142,6 @@ pub struct ServeConfig {
     /// `cores / workers`. The effective budget shrinks linearly as the
     /// queue fills (down to 1 at a full queue).
     pub intra_budget: Option<usize>,
-    /// Name this server goes by in error attribution (default
-    /// `"serve"`). Execution failures carry `[<label>/session-<n>]` in
-    /// their message, so in a multi-server topology — e.g. one server
-    /// per shard ([`crate::shard`]) — a failure names its origin.
-    pub label: Option<String>,
 }
 
 impl Default for ServeConfig {
@@ -159,7 +154,6 @@ impl Default for ServeConfig {
                 .min(8),
             overload: None,
             intra_budget: None,
-            label: None,
         }
     }
 }
@@ -186,14 +180,6 @@ impl ServeConfig {
     /// Override the per-worker base parallelism budget (minimum 1).
     pub fn with_intra_budget(mut self, budget: usize) -> ServeConfig {
         self.intra_budget = Some(budget.max(1));
-        self
-    }
-
-    /// Name this server for error attribution: execution failures carry
-    /// `[<label>/session-<n>]` in their message so multi-server failures
-    /// are debuggable from the error alone.
-    pub fn with_label(mut self, label: impl Into<String>) -> ServeConfig {
-        self.label = Some(label.into());
         self
     }
 }
@@ -474,8 +460,8 @@ type SharedBucket = Arc<Mutex<TokenBucket>>;
 
 struct Job {
     spec: StatementSpec,
-    /// Index of the submitting session — combined with the server label
-    /// into the `[<label>/session-<n>]` error-attribution prefix.
+    /// Index of the submitting session — the `[serve/session-<n>]`
+    /// error-attribution prefix.
     session: usize,
     receipt: Arc<ReceiptState>,
     /// The submitting session's counters, carried with the job so the
@@ -530,8 +516,6 @@ enum ShedKind {
 
 struct ServeShared {
     engine: Arc<Engine>,
-    /// This server's name in error attribution (default `"serve"`).
-    label: String,
     capacity: usize,
     /// Full per-worker intra-statement parallelism budget (at an empty
     /// queue); shrinks linearly with queue depth.
@@ -784,10 +768,8 @@ fn worker_loop(shared: Arc<ServeShared>) {
                 .unwrap_or_else(|e| e.into_inner())
                 .debit(started.elapsed());
         }
-        // Failures name their origin: in a multi-server topology (one
-        // server per shard), `[shard-1/session-2]` in the message is what
-        // makes a partial failure debuggable from the error alone.
-        let origin = || format!("{}/session-{}", shared.label, job.session);
+        // Failures name the session they came from.
+        let origin = || format!("serve/session-{}", job.session);
         let result = match executed.outcome {
             Ok(Ok(output)) => Ok(output),
             Ok(Err(e)) => Err(ServeError::Engine(attribute_engine_error(e, &origin()))),
@@ -872,7 +854,6 @@ impl ServerHandle {
         let base_budget = config.intra_budget.unwrap_or(cores / worker_count).max(1);
         let shared = Arc::new(ServeShared {
             engine,
-            label: config.label.clone().unwrap_or_else(|| "serve".to_string()),
             capacity,
             base_budget,
             state: Mutex::new(QueueState {
@@ -1085,10 +1066,23 @@ impl ServeSession {
         self.shared.submit_wait(self.idx, spec, deadline)
     }
 
-    /// This session's error-attribution origin, `<label>/session-<n>` —
-    /// the prefix its execution failures carry.
+    /// This session's error-attribution origin, `serve/session-<n>` —
+    /// the prefix its execution failures carry. Session 0 is the
+    /// handle's own; opened sessions count up from 1.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use voodoo_relational::{Engine, ServeConfig};
+    /// use voodoo_storage::Catalog;
+    ///
+    /// let engine = Arc::new(Engine::new(Catalog::in_memory()));
+    /// let server = engine.serve(ServeConfig::default().with_workers(1));
+    /// assert_eq!(server.session(1).origin(), "serve/session-1");
+    /// assert_eq!(server.session(1).origin(), "serve/session-2");
+    /// server.shutdown();
+    /// ```
     pub fn origin(&self) -> String {
-        format!("{}/session-{}", self.shared.label, self.idx)
+        format!("serve/session-{}", self.idx)
     }
 
     /// Seconds of service time left in this session's quota bucket

@@ -228,7 +228,7 @@ impl Session {
         self.engine.append_rows(table, rows)
     }
 
-    /// Prepared-plan cache counters (combined over all shards).
+    /// Prepared-plan cache counters (summed over every cache stripe).
     pub fn cache_stats(&self) -> CacheStats {
         self.engine.cache_stats()
     }

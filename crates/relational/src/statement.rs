@@ -8,16 +8,15 @@
 //! * [`StatementSpec`] is the **only** description of a statement — a raw
 //!   program, a TPC-H query, a SQL string (parsed once, at construction)
 //!   or a read of a maintained view. A [`Statement`] is a spec bound to
-//!   an engine; batches, serve queues and shards carry bare specs.
+//!   an engine; batches and serve queues carry bare specs.
 //! * `drive` is the **only** code that walks a statement's programs:
 //!   it lowers the spec and hands each program, with the catalog it runs
 //!   against and its (lazily) prepared plan, to a `Visit` callback. SQL
 //!   and TPC-H lower alike, to one [`Lowered`](crate::builder::Lowered)
 //!   program and its row extraction. Running and profiling are executing visitors; explaining
 //!   and verifying are inspecting ones — dry walks that run nothing.
-//!   Four short closures over one walk.
-//! * `footprint` is the only other per-kind function: the table read
-//!   set the shard router plans from.
+//!   Four short closures over one walk. Apart from the constructors,
+//!   `drive` is the only code that names a statement kind.
 //!
 //! Every drive happens inside the engine's single execution scope
 //! (`Engine::scoped`), which resolves backend, snapshot and morsel pool
@@ -58,8 +57,7 @@ enum SpecKind {
 
 /// One statement: what to run and (optionally) which backend to run it
 /// on. The unit every front door accepts — [`Engine::statement`],
-/// [`Engine::run_batch`], [`crate::ServeSession::submit`],
-/// [`crate::ShardedEngine::run`].
+/// [`Engine::run_batch`], [`crate::ServeSession::submit`].
 #[derive(Clone)]
 pub struct StatementSpec {
     kind: SpecKind,
@@ -121,35 +119,6 @@ impl StatementSpec {
     pub(crate) fn backend(&self) -> Option<&str> {
         self.backend.as_deref()
     }
-}
-
-/// What a statement reads, for routing.
-pub(crate) enum Footprint<'a> {
-    /// The base tables the statement's programs load. Empty for a
-    /// statement with no catalog footprint — including one whose frontend
-    /// error reproduces identically anywhere (a SQL parse error).
-    Tables(Vec<String>),
-    /// A maintained view, served wherever it is registered.
-    View(&'a str),
-}
-
-/// The routing read set of a statement, computed statically: raw programs
-/// through the analyzer's effects pass (the same exact read set plan-cache
-/// freshness keys on), TPC-H through the planner-side
-/// [`queries::query_tables`], SQL from the parsed statement's single
-/// table.
-pub(crate) fn footprint(spec: &StatementSpec) -> Footprint<'_> {
-    let tables = match &spec.kind {
-        SpecKind::Program(p) => voodoo_verify::read_set(p),
-        SpecKind::Tpch(q) => queries::query_tables(*q)
-            .iter()
-            .map(|t| (*t).to_string())
-            .collect(),
-        SpecKind::Sql(Ok(q)) => vec![q.table.clone()],
-        SpecKind::Sql(Err(_)) => Vec::new(),
-        SpecKind::View(name) => return Footprint::View(name),
-    };
-    Footprint::Tables(tables)
 }
 
 // ---------------------------------------------------------------------
@@ -283,8 +252,7 @@ impl Engine {
             .map(|out| out.expect("an executing walk yields the statement's output"))
     }
 
-    /// Run one statement: what batch slots, serve workers and shard
-    /// sub-requests all call.
+    /// Run one statement: what batch slots and serve workers call.
     pub(crate) fn run_spec(&self, spec: &StatementSpec) -> Executed<StatementOutput> {
         self.execute(spec, None, &mut run_plan)
     }

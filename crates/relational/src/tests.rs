@@ -75,25 +75,6 @@ fn run_query_propagates_executor_results_and_errors() {
     assert!(err.is_err());
 }
 
-/// The shard router's static footprint covers everything a plan loads:
-/// the analyzer's read set of every lowered program is a subset of
-/// `queries::query_tables`.
-#[test]
-fn query_tables_cover_every_program_read_set() {
-    let cat = catalog();
-    for q in CPU_QUERIES {
-        let footprint = crate::queries::query_tables(q);
-        let lowered = crate::queries::plan(&cat, q).expect("plans");
-        for t in voodoo_verify::read_set(&lowered.program) {
-            assert!(
-                footprint.contains(&t.as_str()),
-                "{}: the program reads {t}, missing from query_tables",
-                q.name()
-            );
-        }
-    }
-}
-
 #[test]
 fn q6_through_the_sql_frontend_matches_the_plan() {
     // Q6 is expressible in the SQL subset — cross-check frontend paths.

@@ -1,5 +1,5 @@
-//! Effect analysis (pass 3): the exact table read/write footprint of a
-//! program.
+//! Effect analysis (pass 3): the exact tables a program reads and
+//! writes.
 //!
 //! Unlike [`Program::table_deps`] — which lists every `Load`/`Persist`
 //! name syntactically, dead or alive — the effect analysis first computes
@@ -11,7 +11,7 @@
 
 use voodoo_core::{Op, Program};
 
-/// The exact table footprint of a program.
+/// The exact tables a program reads and writes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Effects {
     /// Tables a live `Load` reads, sorted and deduplicated.
@@ -95,21 +95,6 @@ pub fn effects(program: &Program) -> Effects {
     writes.sort_unstable();
     writes.dedup();
     Effects { reads, writes }
-}
-
-/// The owned table footprint of a program: every table a live statement
-/// reads *or* writes, sorted and deduplicated. This is the planning
-/// entry point for scatter routing (`voodoo-relational`'s shard layer):
-/// the set of tables a statement touches is exactly the set of shards
-/// that must contribute data, so the analyzer — not a heuristic — decides
-/// which shards a cross-shard statement fans across.
-pub fn read_set(program: &Program) -> Vec<String> {
-    let fx = effects(program);
-    let mut all = fx.reads;
-    all.extend(fx.writes);
-    all.sort_unstable();
-    all.dedup();
-    all
 }
 
 #[cfg(test)]

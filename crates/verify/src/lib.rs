@@ -3,7 +3,7 @@
 //! The paper's bet is that a small vector algebra is an *analyzable*
 //! compilation target: because operators are stateless, deterministic and
 //! free of runtime control flow, every property that matters — shapes,
-//! table footprints, parallel safety — is derivable from the IR before
+//! table reads and writes, parallel safety — is derivable from the IR before
 //! anything runs. This crate centralizes that reasoning as a multi-pass
 //! analyzer every `Backend::prepare` runs before planning:
 //!
@@ -36,7 +36,7 @@ pub mod effects;
 pub mod safety;
 pub mod sentinel;
 
-pub use effects::{effects, live_statements, read_set, Effects};
+pub use effects::{effects, live_statements, Effects};
 pub use safety::{classify, ParallelSafety};
 pub use sentinel::{domains, SentinelDomain};
 
@@ -50,7 +50,7 @@ use voodoo_storage::Catalog;
 pub struct Analysis {
     /// Inferred shape (schema, length, run metadata) per statement.
     pub shapes: Shapes,
-    /// Exact table read/write footprint.
+    /// Exact table read and write sets.
     pub effects: Effects,
     /// Parallel-safety verdict per statement.
     pub safety: Vec<ParallelSafety>,

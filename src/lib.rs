@@ -422,44 +422,7 @@
 //! assert_eq!(outcomes, [true, false, true], "exactly one failed receipt");
 //! server.shutdown();
 //! ```
-//!
-//! ## Sharded serving
-//!
-//! One engine is one machine's worth of serving; [`relational::shard`]
-//! puts N engines behind one handle. A
-//! [`relational::ShardedEngine`] routes every table to exactly one
-//! shard (FNV-1a hash by default; range and manual assignment
-//! supported), sends single-shard statements straight through the
-//! owner's admission queue, and runs cross-shard statements by
-//! scatter-gather over their analyzer-derived read set — with results
-//! **bit-identical** to a single engine over the same data (invariant
-//! 10 in `ARCHITECTURE.md`). Per-shard metrics sum exactly into the
-//! aggregate, errors name the failing shard, and a fault plan on one
-//! shard fails only the statements that touch it.
-//!
-//! ```
-//! use voodoo::relational::shard::{Router, ShardedEngine};
-//! use voodoo::relational::{Session, StatementSpec};
-//! use voodoo::tpch::queries::Query;
-//!
-//! let sharded = ShardedEngine::tpch(0.002, 2);
-//! let oracle = Session::tpch(0.002);
-//!
-//! // Q6 reads one table (owner's queue); Q12 spans shards
-//! // (scatter-gather). Both are bit-identical to the single engine.
-//! let session = sharded.session(1);
-//! for q in [Query::Q6, Query::Q12] {
-//!     let got = session.run(StatementSpec::tpch(q)).unwrap();
-//!     assert_eq!(got.rows(), oracle.query(q).run().unwrap().rows());
-//! }
-//!
-//! // Mutations route to the owning shard; metrics sum exactly.
-//! let m = sharded.metrics();
-//! let split: u64 = m.per_shard.iter().map(|s| s.queries_served).sum::<u64>()
-//!     + m.coordinator.queries_served;
-//! assert_eq!(m.aggregate.queries_served, split);
-//! sharded.shutdown();
-//! ```
+
 pub use voodoo_algos as algos;
 pub use voodoo_backend as backend;
 pub use voodoo_baselines as baselines;

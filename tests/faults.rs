@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use voodoo::core::{KeyPath, Program};
+use voodoo::core::{KeyPath, Program, VoodooError};
 use voodoo::faults::{Fault, FaultPlan};
 use voodoo::relational::{Engine, ServeConfig, ServeError, StatementSpec};
 use voodoo::storage::Catalog;
@@ -145,6 +145,61 @@ fn fault_kinds_fail_their_receipt_and_only_theirs() {
     }
     assert_eq!(plan.log().len(), 4);
     assert_eq!(engine.metrics().failures, 3, "latency is not a failure");
+}
+
+// ---------------------------------------------------------------------
+// Failures name the session that submitted them
+// ---------------------------------------------------------------------
+
+#[test]
+fn execution_failures_name_their_serve_session() {
+    let plan = FaultPlan::build_with()
+        .fault_execute(0, Fault::Error)
+        .fault_execute(1, Fault::Panic)
+        .build();
+    let engine = small_engine();
+    wrap_backend(&engine, "interp", &plan);
+    let server = engine.serve(ServeConfig::default().with_workers(1));
+    let (first, second) = (server.session(1), server.session(1));
+    assert_eq!(first.origin(), "serve/session-1");
+    assert_eq!(second.origin(), "serve/session-2");
+
+    let failed = first
+        .submit_wait(sum_spec("interp"), None)
+        .unwrap()
+        .wait()
+        .unwrap_err();
+    match failed {
+        ServeError::Engine(VoodooError::Backend(msg)) => assert!(
+            msg.starts_with("[serve/session-1] injected fault"),
+            "error names session 1: {msg}"
+        ),
+        other => panic!("expected an engine error, got {other}"),
+    }
+    let panicked = second
+        .submit_wait(sum_spec("interp"), None)
+        .unwrap()
+        .wait()
+        .unwrap_err();
+    match panicked {
+        ServeError::WorkerPanic(msg) => assert!(
+            msg.starts_with("[serve/session-2] injected panic"),
+            "panic names session 2: {msg}"
+        ),
+        other => panic!("expected a worker panic, got {other}"),
+    }
+
+    // Both sessions serve cleanly once the schedule is spent.
+    for session in [&first, &second] {
+        let out = session
+            .submit_wait(sum_spec("interp"), None)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(sum_of(&out), 6);
+    }
+    server.shutdown();
+    assert_eq!(plan.log().len(), 2);
 }
 
 // ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //!
 //! `relational::statement` is the single lowering seam — one
 //! `StatementSpec` description, one driver, one execution scope — behind
-//! `Statement`, `run_batch`, the serve queue and the shard router. This
+//! `Statement`, `run_batch` and the serve queue. This
 //! suite is table-driven over (kind × door):
 //!
 //! * every kind (program, TPC-H, SQL, view) returns identical output
@@ -23,7 +23,6 @@ use voodoo::backend::CpuBackend;
 use voodoo::compile::MorselPool;
 use voodoo::core::{Buffer, Program};
 use voodoo::faults::FaultPlan;
-use voodoo::relational::shard::{Router, ShardedEngine};
 use voodoo::relational::sql;
 use voodoo::relational::views::view_def_from_sql;
 use voodoo::relational::{Engine, JoinDef, ServeConfig, Source, StatementOutput, StatementSpec};
@@ -49,8 +48,7 @@ fn sum_program() -> Program {
     p
 }
 
-/// One spec per statement kind, each with a single-table footprint (so a
-/// sharded run is one sub-request, comparable with the other doors).
+/// One spec per statement kind.
 fn kinds() -> Vec<(&'static str, StatementSpec)> {
     vec![
         ("program", StatementSpec::program(sum_program())),
@@ -85,37 +83,29 @@ fn same(a: &StatementOutput, b: &StatementOutput) -> bool {
     }
 }
 
-/// The four front doors over the same data: a single engine (statement
-/// handles, batches, a serve queue) and a 2-shard topology.
+/// The three front doors over one engine: statement handles, batches and
+/// a serve queue.
 struct Doors {
     engine: Arc<Engine>,
-    sharded: ShardedEngine,
 }
 
-/// `(served, failed)` so far, per topology.
+/// `(served, failed)` so far.
 type Counts = (u64, u64);
 
 impl Doors {
     fn open() -> Doors {
         let engine = Arc::new(Engine::new(catalog()));
         engine.create_view(VIEW, VIEW_SQL).expect("view");
-        let sharded = ShardedEngine::new(catalog(), 2, Router::Hash);
-        sharded.create_view(VIEW, VIEW_SQL).expect("sharded view");
-        Doors { engine, sharded }
+        Doors { engine }
     }
 
-    fn engine_counts(&self) -> Counts {
+    fn counts(&self) -> Counts {
         let m = self.engine.metrics();
         (m.queries_served, m.failures)
     }
 
-    fn sharded_counts(&self) -> Counts {
-        let m = self.sharded.metrics().aggregate;
-        (m.queries_served, m.failures)
-    }
-
-    /// Run `spec` through every door, asserting each one moves its
-    /// topology's `(queries_served, failures)` by exactly `delta`.
+    /// Run `spec` through every door, asserting each one moves the
+    /// engine's `(queries_served, failures)` by exactly `delta`.
     fn through_every_door(
         &self,
         label: &str,
@@ -124,12 +114,10 @@ impl Doors {
     ) -> Vec<(&'static str, voodoo::core::Result<StatementOutput>)> {
         let mut results = Vec::new();
         let mut counted =
-            |door: &'static str,
-             counts: &dyn Fn() -> Counts,
-             run: &mut dyn FnMut() -> voodoo::core::Result<StatementOutput>| {
-                let before = counts();
+            |door: &'static str, run: &mut dyn FnMut() -> voodoo::core::Result<StatementOutput>| {
+                let before = self.counts();
                 let result = run();
-                let after = counts();
+                let after = self.counts();
                 assert_eq!(
                     (after.0 - before.0, after.1 - before.1),
                     delta,
@@ -137,8 +125,7 @@ impl Doors {
                 );
                 results.push((door, result));
             };
-        let engine_counts = || self.engine_counts();
-        counted("Statement::run_on", &engine_counts, &mut || {
+        counted("Statement::run_on", &mut || {
             let stmt = self.engine.statement(spec.clone());
             // The explicit re-target would override the failing specs'
             // own (unknown) backend pin; those run as pinned.
@@ -148,22 +135,17 @@ impl Doors {
                 stmt.run()
             }
         });
-        counted("Engine::run_batch", &engine_counts, &mut || {
+        counted("Engine::run_batch", &mut || {
             let mut out = self.engine.run_batch(std::slice::from_ref(spec));
             assert_eq!(out.len(), 1);
             out.remove(0)
         });
-        counted("ServeSession::submit", &engine_counts, &mut || {
+        counted("ServeSession::submit", &mut || {
             let server = self.engine.serve(ServeConfig::default().with_workers(1));
             let receipt = server.session(1).submit(spec.clone()).expect("admitted");
             let result = receipt.wait().map_err(|e| e.into_engine_error());
             server.shutdown();
             result
-        });
-        counted("ShardedEngine::run", &|| self.sharded_counts(), &mut || {
-            self.sharded
-                .run(spec.clone())
-                .map_err(|e| e.into_engine_error())
         });
         results
     }
@@ -192,7 +174,6 @@ fn every_kind_agrees_through_every_front_door_and_counts_once() {
             );
         }
     }
-    doors.sharded.shutdown();
 }
 
 #[test]
@@ -209,7 +190,6 @@ fn every_failure_kind_counts_exactly_one_failure_through_every_door() {
             assert!(result.is_ok(), "{label} via {door} after failures");
         }
     }
-    doors.sharded.shutdown();
 }
 
 #[test]
@@ -264,7 +244,6 @@ fn explain_profile_and_verify_drive_every_kind() {
         assert!(stmt.explain().is_err(), "{label}: explain must fail");
         assert!(stmt.profile().is_err(), "{label}: profile must fail");
     }
-    doors.sharded.shutdown();
 }
 
 /// `verify` and `explain` are dry walks: not served statements, and
@@ -333,23 +312,6 @@ fn verify_and_explain_are_dry_walks() {
         );
     }
     server.shutdown();
-
-    // The sharded front door verifies statically too, cross-shard
-    // scatters included.
-    let before = doors.sharded_counts();
-    for (label, spec) in kinds() {
-        assert_eq!(doors.sharded.verify(&spec), vec![], "{label} sharded");
-    }
-    assert_eq!(
-        doors.sharded.verify(&StatementSpec::tpch(Query::Q5)),
-        vec![]
-    );
-    assert_eq!(
-        doors.sharded_counts(),
-        before,
-        "sharded verify serves nothing"
-    );
-    doors.sharded.shutdown();
 }
 
 /// Verifying a view analyzes its definition's programs whether or not the
@@ -385,7 +347,6 @@ fn view_verify_analyzes_the_definition_without_refreshing() {
     );
     assert_eq!(engine.metrics(), before, "verify attempted no refresh");
     assert!(view.run().is_err(), "the refresh itself does fail");
-    doors.sharded.shutdown();
 }
 
 /// Plan-cache hits and misses come back from the execution scope with

@@ -115,7 +115,7 @@ fn sql_and_view_programs_pass_the_effect_audit() {
 /// mutating a table the program never reads does not invalidate its
 /// plan, mutating a read table does.
 #[test]
-fn plan_cache_freshness_tracks_the_analyzer_read_set() {
+fn plan_cache_freshness_tracks_the_analyzer_reads() {
     let session = Session::new(small_catalog());
     let mut p = Program::new();
     let a = p.load("a");
@@ -254,12 +254,114 @@ fn no_ill_formed_program_panics_any_backend() {
 }
 
 // -----------------------------------------------------------------
+// Literal pins on every backend
+// -----------------------------------------------------------------
+
+/// Run `p` on every backend, assert they agree, and return the `.val`
+/// slots of each return (ε as `None`).
+fn returns_on_every_backend(p: &Program, cat: &Catalog) -> Vec<Vec<Option<i64>>> {
+    assert_eq!(verify::diagnostics(p, cat), vec![], "well-formed\n{p}");
+    let mut outputs = Vec::new();
+    for (name, b) in backends() {
+        let out = b
+            .prepare(p, cat)
+            .and_then(|plan| plan.execute(cat))
+            .unwrap_or_else(|e| panic!("{name}: {e}\n{p}"));
+        outputs.push((name, out));
+    }
+    let (ref_name, reference) = &outputs[0];
+    for (name, out) in &outputs[1..] {
+        assert_eq!(
+            reference.returns, out.returns,
+            "{ref_name} vs {name} disagree\n{p}"
+        );
+    }
+    reference
+        .returns
+        .iter()
+        .map(|v| {
+            (0..v.len())
+                .map(|i| v.value_at(i, &KeyPath::val()).map(|x| x.as_i64()))
+                .collect()
+        })
+        .collect()
+}
+
+/// The value of a global fold: slot 0, with ε in every other slot.
+fn global(slots: &[Option<i64>]) -> i64 {
+    assert!(slots[1..].iter().all(Option::is_none), "{slots:?}");
+    slots[0].expect("a global fold fills slot 0")
+}
+
+/// A selection, a gather at its positions and a prefix sum over the
+/// gathered values, against literals: the random-program suite only
+/// shows that the backends agree, not what they compute.
+#[test]
+fn selection_gather_and_prefix_sum_pin_literals_on_every_backend() {
+    let cat = small_catalog();
+    let mut p = Program::new();
+    let a = p.load("a");
+    let pred = p.greater_const(a, 60i64);
+    let sel = p.fold_select_global(pred);
+    let vals = p.gather(a, sel);
+    let scan = p.fold_scan_global(vals);
+    let sum = p.fold_sum_global(vals);
+    p.ret(scan);
+    p.ret(sum);
+    let got = returns_on_every_backend(&p, &cat);
+    let selected: Vec<_> = got[0].iter().flatten().copied().collect();
+    assert_eq!(selected, [61, 123, 186], "prefix sums of a[61..64]");
+    assert_eq!(global(&got[1]), 186, "sum of a[61..64]");
+}
+
+/// A selection over the 64-row `a` gathering from the 16-row `c`:
+/// positions past `c` gather ε on every backend, in the plain and the
+/// chunked (vectorized) form alike.
+#[test]
+fn selection_gathering_from_a_short_table_reads_eps_on_every_backend() {
+    let mut cat = small_catalog();
+    cat.put_i64_column("c", &(0..16).collect::<Vec<_>>());
+    let mut p = Program::new();
+    let a = p.load("a");
+    let c = p.load("c");
+    let pred = p.greater_const(a, 10i64);
+    let sel = p.fold_select_global(pred);
+    let plain = p.gather(c, sel);
+    let plain_sum = p.fold_sum_global(plain);
+    let ids = p.range_like(0, pred, 1);
+    let chunk_ids = p.div_const(ids, 8);
+    let chunked_sel = p.fold_select(chunk_ids, pred);
+    let chunked = p.gather(c, chunked_sel);
+    let chunked_sum = p.fold_sum_global(chunked);
+    p.ret(plain_sum);
+    p.ret(chunked_sum);
+    let got = returns_on_every_backend(&p, &cat);
+    // c[11..16] = 11 + 12 + 13 + 14 + 15.
+    assert_eq!(global(&got[0]), 65, "plain selection");
+    assert_eq!(global(&got[1]), 65, "chunked selection");
+}
+
+// -----------------------------------------------------------------
 // Property tests: random programs and random mutations
 // -----------------------------------------------------------------
 
+/// Every op kind [`gen_program`] can emit, by [`Op::name`].
+const GEN_OP_KINDS: [&str; 9] = [
+    "Load",
+    "Constant",
+    "Add",
+    "Subtract",
+    "Greater",
+    "LogicalAnd",
+    "FoldSum",
+    "FoldScan",
+    "FoldSelect",
+];
+
 /// A random well-formed program over the `a`/`b` tables: integer
-/// arithmetic and comparisons only (no multiply — results stay far from
-/// the i64 sentinels and never overflow, even with overflow checks on).
+/// arithmetic, comparisons, global folds, prefix sums and selections (no
+/// multiply — results stay far from the i64 sentinels and never
+/// overflow, even with overflow checks on).
 fn gen_program(rng: &mut TestRng) -> Program {
     let mut p = Program::new();
     let mut ints = vec![p.load("a")];
@@ -269,7 +371,7 @@ fn gen_program(rng: &mut TestRng) -> Program {
     let mut bools: Vec<VRef> = Vec::new();
     let n_ops = 3 + rng.below(8) as usize;
     for _ in 0..n_ops {
-        match rng.below(6) {
+        match rng.below(8) {
             0 | 1 => {
                 let l = ints[rng.below(ints.len() as u64) as usize];
                 let r = ints[rng.below(ints.len() as u64) as usize];
@@ -291,6 +393,20 @@ fn gen_program(rng: &mut TestRng) -> Program {
             4 => {
                 let l = ints[rng.below(ints.len() as u64) as usize];
                 ints.push(p.constant_like(ScalarValue::I64(rng.below(10) as i64), l));
+            }
+            5 => {
+                let l = ints[rng.below(ints.len() as u64) as usize];
+                ints.push(p.fold_scan_global(l));
+            }
+            6 => {
+                // Positions of the truthy slots: a comparison's, or an
+                // integer vector's non-zero ones.
+                let v = if bools.is_empty() {
+                    ints[rng.below(ints.len() as u64) as usize]
+                } else {
+                    bools[rng.below(bools.len() as u64) as usize]
+                };
+                ints.push(p.fold_select_global(v));
             }
             _ => {
                 if bools.len() >= 2 {
@@ -315,8 +431,10 @@ fn gen_program(rng: &mut TestRng) -> Program {
 fn random_programs_verify_and_agree_across_backends() {
     let cat = small_catalog();
     let mut rng = TestRng::deterministic("random_programs_verify_and_agree");
+    let mut drawn = std::collections::BTreeSet::new();
     for case in 0..48 {
         let p = gen_program(&mut rng);
+        drawn.extend(p.stmts().iter().map(|s| s.op.name()));
         let diags = verify::diagnostics(&p, &cat);
         assert_eq!(diags, vec![], "case {case}: generator must be well-formed");
         let mut outputs = Vec::new();
@@ -335,6 +453,15 @@ fn random_programs_verify_and_agree_across_backends() {
             );
         }
     }
+    let missing: Vec<_> = GEN_OP_KINDS
+        .iter()
+        .filter(|k| !drawn.contains(*k))
+        .collect();
+    assert!(missing.is_empty(), "op kinds never drawn: {missing:?}");
+    assert!(
+        drawn.iter().all(|k| GEN_OP_KINDS.contains(k)),
+        "GEN_OP_KINDS misses a drawn kind: {drawn:?}"
+    );
 }
 
 /// Rebuild `p` with one op swapped for `mutant` at `at`.
@@ -388,6 +515,7 @@ fn random_mutations_are_rejected_with_pointed_diagnostics() {
                 if let Op::Project { v, .. }
                 | Op::FoldAgg { v, .. }
                 | Op::FoldSelect { v, .. }
+                | Op::FoldScan { v, .. }
                 | Op::Constant { like: Some(v), .. } = &mut m
                 {
                     *v = VRef(n as u32 + 3);
