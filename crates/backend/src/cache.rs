@@ -45,11 +45,11 @@ pub struct PlanKey {
     /// Backend name the plan was prepared by.
     pub backend: String,
     /// Fingerprint of the per-table versions of exactly the tables the
-    /// program touches ([`Catalog::table_state`] over
-    /// [`Program::table_deps`]) at preparation time. A plan can only
-    /// depend on the shapes of the tables it loads/persists, so keying on
-    /// their versions — and nothing else — keeps unrelated mutations from
-    /// invalidating it.
+    /// program touches ([`Catalog::table_state`] over the tables of the
+    /// analyzer's live [`voodoo_verify::effects()`]) at preparation time. A
+    /// plan can only depend on the shapes of the tables its live
+    /// statements load/persist, so keying on their versions — and nothing
+    /// else — keeps unrelated mutations from invalidating it.
     pub table_state: String,
     /// The program's exhaustive [`Program::cache_key`] rendering. NOT
     /// the pretty SSA `Display` text: that omits operator parameters
@@ -82,8 +82,7 @@ impl PlanKey {
         program: &Program,
     ) -> PlanKey {
         // Freshness is keyed on the analyzer's *exact* effect set (live
-        // Load/Persist tables), not the syntactic `Program::table_deps`
-        // over-approximation: a plan can only go stale through tables an
+        // Load/Persist tables): a plan can only go stale through tables an
         // execution actually touches.
         let effects = voodoo_verify::effects(program);
         PlanKey {

@@ -193,6 +193,7 @@ impl Backend for InterpBackend {
     }
 
     fn prepare(&self, program: &Program, catalog: &Catalog) -> Result<Arc<dyn PreparedPlan>> {
+        // The interpreter plans nothing, so the analysis is only a gate.
         voodoo_verify::analyze(program, catalog)?;
         Ok(Arc::new(InterpPlan {
             program: program.clone(),
@@ -336,21 +337,23 @@ impl Backend for CpuBackend {
 
     fn prepare(&self, program: &Program, catalog: &Catalog) -> Result<Arc<dyn PreparedPlan>> {
         // Verify the program as submitted, so diagnostics point at the
-        // user's statement indices, before any rewrite reshapes it. The
-        // compiler re-analyzes the optimized form for its own safety
-        // verdicts.
-        voodoo_verify::analyze(program, catalog)?;
-        let (program, rewrite) = if self.optimize {
-            let (p, stats) = voodoo_core::transform::optimize(program);
-            (p, Some(stats))
-        } else {
-            (program.clone(), None)
+        // user's statement indices, before any rewrite reshapes it.
+        let verified = voodoo_verify::analyze(program, catalog)?;
+        let rewritten = self
+            .optimize
+            .then(|| voodoo_core::transform::optimize(program));
+        let cp = match &rewritten {
+            // The facts index the submitted statements: a rewrite that
+            // removed any renumbers them, so its output is analyzed afresh.
+            Some((optimized, stats)) if stats.removed() > 0 => {
+                Compiler::build(voodoo_verify::analyze(optimized, catalog)?)?
+            }
+            _ => Compiler::build(verified)?,
         };
-        let cp = Compiler::new(catalog).compile(&program)?;
         Ok(Arc::new(CpuPlan {
             cp,
             opts: self.opts.clone(),
-            rewrite,
+            rewrite: rewritten.map(|(_, stats)| stats),
         }))
     }
 }
@@ -449,7 +452,7 @@ impl Backend for SimGpuBackend {
     }
 
     fn prepare(&self, program: &Program, catalog: &Catalog) -> Result<Arc<dyn PreparedPlan>> {
-        let cp = Compiler::new(catalog).compile(program)?;
+        let cp = Compiler::build(voodoo_verify::analyze(program, catalog)?)?;
         Ok(Arc::new(SimGpuPlan {
             cp,
             program: program.clone(),
@@ -461,7 +464,7 @@ impl Backend for SimGpuBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use voodoo_core::{KeyPath, ScalarValue};
+    use voodoo_core::{Diagnostic, KeyPath, ScalarValue};
 
     fn fixture() -> (Catalog, Program) {
         let mut cat = Catalog::in_memory();
@@ -593,23 +596,108 @@ mod tests {
         let t = p.load("t");
         let bad = p.add(t, voodoo_core::VRef(9));
         p.ret(bad);
+        assert_rejected(&p, &cat, "a forward reference", |diags| {
+            diags.iter().any(|d| d.stmt == Some(bad.index()))
+        });
+    }
+
+    /// Prepare `p` on every backend and require a structured rejection
+    /// whose diagnostics satisfy `pointed`.
+    fn assert_rejected(
+        p: &Program,
+        cat: &Catalog,
+        what: &str,
+        pointed: impl Fn(&[Diagnostic]) -> bool,
+    ) {
         for b in backends() {
-            let err = match b.prepare(&p, &cat) {
-                Ok(_) => panic!("backend {} accepted a forward reference", b.name()),
-                Err(e) => e,
-            };
-            match err {
-                voodoo_core::VoodooError::Rejected(diags) => {
-                    assert!(!diags.is_empty(), "backend {}", b.name());
-                    assert!(
-                        diags.iter().any(|d| d.stmt == Some(1)),
-                        "backend {} diagnostic points at %1: {diags:?}",
-                        b.name()
-                    );
-                }
-                other => panic!("backend {} returned {other:?}", b.name()),
+            match b.prepare(p, cat) {
+                Err(voodoo_core::VoodooError::Rejected(diags)) => assert!(
+                    !diags.is_empty() && pointed(&diags),
+                    "backend {} on {what}: {diags:?}",
+                    b.name()
+                ),
+                Err(other) => panic!("backend {} on {what} returned {other:?}", b.name()),
+                Ok(_) => panic!("backend {} accepted {what}", b.name()),
             }
         }
+    }
+
+    #[test]
+    fn every_backend_verifies_before_rewriting() {
+        // A fault in a dead statement: DCE would drop it, so a backend
+        // that verified only the CSE/DCE output would accept both cases.
+        let mut cat = Catalog::in_memory();
+        cat.put_i64_column("t", &[1, 2, 3]);
+
+        let mut p = Program::new();
+        let t = p.load("t");
+        let _dup = p.load("t");
+        let dead = p.add(t, voodoo_core::VRef(9));
+        let sum = p.fold_sum_global(t);
+        p.ret(sum);
+        assert_rejected(&p, &cat, "a dead forward reference", |diags| {
+            diags.iter().all(|d| d.stmt == Some(dead.index()))
+        });
+
+        let mut p = Program::new();
+        let t = p.load("t");
+        let _dead = p.load("nope");
+        let sum = p.fold_sum_global(t);
+        p.ret(sum);
+        assert_rejected(&p, &cat, "a dead load of an unknown table", |diags| {
+            diags.iter().any(|d| d.reason.contains("nope"))
+        });
+    }
+
+    #[test]
+    fn optimized_plans_use_the_verdicts_of_the_rewritten_program() {
+        // CSE merges %2 into %1, so the float sum moves from %4 to %3,
+        // where the submitted program has an integer (associative) fold.
+        // Planned with the submitted verdicts, the float sum would be
+        // tree-reduced across morsels and change its last bits.
+        let n = 1 << 14;
+        let floats: Vec<f32> = (0..n)
+            .map(|i| (i as f32 * 0.37).sin() * 10f32.powi(i % 9))
+            .collect();
+        let mut cat = Catalog::in_memory();
+        cat.put_f32_column("floats", &floats);
+        cat.put_i64_column("ints", &(0..n as i64).collect::<Vec<_>>());
+        let mut p = Program::new();
+        let f = p.load("floats");
+        let _ints = p.load("ints");
+        let ints = p.load("ints");
+        let isum = p.fold_sum_global(ints);
+        let fsum = p.fold_sum_global(f);
+        p.ret(isum);
+        p.ret(fsum);
+
+        let cpu = CpuBackend::new(ExecOptions {
+            parallelism: Parallelism::Fixed(2),
+            min_parallel_domain: 1,
+            ..ExecOptions::default()
+        })
+        .with_optimize(true);
+        let plan = cpu.prepare(&p, &cat).unwrap();
+        assert!(
+            plan.explain().contains("5 -> 4 statements"),
+            "CSE merged %2"
+        );
+        let got = plan.execute(&cat).unwrap();
+        let want = InterpBackend::new()
+            .prepare(&p, &cat)
+            .unwrap()
+            .execute(&cat)
+            .unwrap();
+        let bits = |out: &ExecOutput| match out.returns[1].value_at(0, &KeyPath::val()) {
+            Some(ScalarValue::F32(v)) => u64::from(v.to_bits()),
+            Some(ScalarValue::F64(v)) => v.to_bits(),
+            other => panic!("float sum expected, got {other:?}"),
+        };
+        assert_eq!(bits(&got), bits(&want), "float sum bit-identical to interp");
+        assert_eq!(
+            got.returns[0].value_at(0, &KeyPath::val()),
+            want.returns[0].value_at(0, &KeyPath::val())
+        );
     }
 
     #[test]

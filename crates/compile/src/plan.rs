@@ -22,7 +22,7 @@ use std::sync::Arc;
 use voodoo_core::typecheck::{self, FoldRuns, Shapes};
 use voodoo_core::{AggKind, KeyPath, Op, Program, Result, ScalarType, VRef, VoodooError};
 use voodoo_storage::Catalog;
-use voodoo_verify::ParallelSafety;
+use voodoo_verify::{ParallelSafety, Verified};
 
 use crate::expr::Expr;
 
@@ -330,8 +330,9 @@ pub struct CompiledProgram {
     pub resolve: Vec<VRef>,
     /// Per-statement parallel-safety verdicts from the static analyzer
     /// (`voodoo-verify` pass 4). The executor *consults* these instead of
-    /// re-deriving per-kernel safety rules at run time.
-    pub safety: Vec<ParallelSafety>,
+    /// re-deriving per-kernel safety rules at run time. Private, so only
+    /// [`Compiler::build`] constructs a plan, from a verified program.
+    safety: Vec<ParallelSafety>,
 }
 
 impl CompiledProgram {
@@ -364,7 +365,8 @@ impl CompiledProgram {
     }
 }
 
-/// The compiler: needs the catalog for shapes and sizes (paper footnote 1).
+/// The compiler: needs the catalog for shapes and sizes (paper footnote 1),
+/// which the analyzer derives.
 pub struct Compiler<'a> {
     catalog: &'a Catalog,
 }
@@ -375,15 +377,19 @@ impl<'a> Compiler<'a> {
         Compiler { catalog }
     }
 
-    /// Compile a program into execution units.
-    ///
-    /// Runs the full `voodoo-verify` analyzer first — structure, shapes,
-    /// sentinel domains, effects, parallel safety — so no program is ever
-    /// planned unverified, and the compiled plan carries the analyzer's
-    /// per-statement safety verdicts for the executor to consult.
+    /// Analyze a program against the catalog and compile it:
+    /// [`Compiler::build`] over [`voodoo_verify::analyze`], for callers
+    /// that hold a bare program.
     pub fn compile(&self, program: &Program) -> Result<CompiledProgram> {
-        let analysis = voodoo_verify::analyze(program, self.catalog)?;
-        Build::new(program, analysis.shapes, analysis.safety).run()
+        Compiler::build(voodoo_verify::analyze(program, self.catalog)?)
+    }
+
+    /// Compile a verified program into execution units. Runs no analyzer
+    /// pass: the plan is built from the analyzer's shapes and carries its
+    /// per-statement safety verdicts for the executor to consult.
+    pub fn build(verified: Verified<'_>) -> Result<CompiledProgram> {
+        let (program, shapes, safety) = verified.into_parts();
+        Build::new(program, shapes, safety).run()
     }
 }
 

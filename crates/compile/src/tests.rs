@@ -256,8 +256,8 @@ fn vectorized_select_gathering_from_a_short_source_reads_eps() {
     let sum = p.fold_sum_global(vals);
     p.ret(sum);
 
-    assert_eq!(voodoo_verify::diagnostics(&p, &cat), vec![]);
-    let cp = Compiler::new(&cat).compile(&p).unwrap();
+    let verified = voodoo_verify::analyze(&p, &cat).expect("no diagnostics");
+    let cp = Compiler::build(verified).unwrap();
     assert!(
         cp.units
             .iter()
@@ -289,8 +289,8 @@ fn vectorized_select_keeps_full_source_folds_beside_a_short_one() {
     p.ret(short_sum);
     p.ret(full_sum);
 
-    assert_eq!(voodoo_verify::diagnostics(&p, &cat), vec![]);
-    let cp = Compiler::new(&cat).compile(&p).unwrap();
+    let verified = voodoo_verify::analyze(&p, &cat).expect("no diagnostics");
+    let cp = Compiler::build(verified).unwrap();
     assert!(
         cp.units.iter().any(|u| matches!(
             u,
@@ -319,8 +319,8 @@ fn vectorized_select_gathering_from_an_empty_source_reads_eps() {
     let sum = p.fold_sum_global(vals);
     p.ret(sum);
 
-    assert_eq!(voodoo_verify::diagnostics(&p, &cat), vec![]);
-    let cp = Compiler::new(&cat).compile(&p).unwrap();
+    let verified = voodoo_verify::analyze(&p, &cat).expect("no diagnostics");
+    let cp = Compiler::build(verified).unwrap();
     assert!(
         cp.units
             .iter()

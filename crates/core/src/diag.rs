@@ -22,15 +22,10 @@ pub enum Pass {
     /// Shape and type inference: key-path resolution, operand type and
     /// length compatibility, fold control attributes.
     Shape,
-    /// Sentinel-domain analysis: can a fold's input contain the
+    /// Sentinel check: can a masked fold's input contain the
     /// `i64::MIN` / `i64::MAX` identity values its lowering treats as
     /// "masked out"?
     Sentinel,
-    /// Effect analysis: the exact table read and write sets.
-    Effects,
-    /// Parallel-safety classification of statements for the morsel
-    /// executor.
-    ParallelSafety,
 }
 
 impl Pass {
@@ -40,8 +35,6 @@ impl Pass {
             Pass::Structure => "structure",
             Pass::Shape => "shape",
             Pass::Sentinel => "sentinel",
-            Pass::Effects => "effects",
-            Pass::ParallelSafety => "parallel-safety",
         }
     }
 }

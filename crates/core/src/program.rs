@@ -103,28 +103,6 @@ impl Program {
         s
     }
 
-    /// The persistent tables this program touches (`Load` sources and
-    /// `Persist` targets), sorted and deduplicated.
-    ///
-    /// These are the program's *data dependencies*: a prepared plan can only
-    /// depend on the shapes (schemas, sizes, stats) of these tables, so
-    /// caches key plan freshness on their per-table versions and ignore
-    /// mutations to everything else.
-    pub fn table_deps(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self
-            .stmts
-            .iter()
-            .filter_map(|s| match &s.op {
-                Op::Load { name } => Some(name.as_str()),
-                Op::Persist { name, .. } => Some(name.as_str()),
-                _ => None,
-            })
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        names
-    }
-
     /// Number of statements.
     pub fn len(&self) -> usize {
         self.stmts.len()

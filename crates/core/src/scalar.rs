@@ -96,6 +96,18 @@ impl ScalarValue {
         }
     }
 
+    /// 32-bit integer view: floats saturate (NaN is 0), as they do in
+    /// [`Self::as_i64`]; wider integers keep their low 32 bits.
+    pub fn as_i32(&self) -> i32 {
+        match *self {
+            ScalarValue::Bool(b) => b as i32,
+            ScalarValue::I32(v) => v,
+            ScalarValue::I64(v) => v as i32,
+            ScalarValue::F32(v) => v as i32,
+            ScalarValue::F64(v) => v as i32,
+        }
+    }
+
     /// Float view.
     pub fn as_f64(&self) -> f64 {
         match *self {
@@ -122,7 +134,7 @@ impl ScalarValue {
     pub fn cast(&self, ty: ScalarType) -> ScalarValue {
         match ty {
             ScalarType::Bool => ScalarValue::Bool(self.is_truthy()),
-            ScalarType::I32 => ScalarValue::I32(self.as_i64() as i32),
+            ScalarType::I32 => ScalarValue::I32(self.as_i32()),
             ScalarType::I64 => ScalarValue::I64(self.as_i64()),
             ScalarType::F32 => ScalarValue::F32(self.as_f64() as f32),
             ScalarType::F64 => ScalarValue::F64(self.as_f64()),
@@ -581,15 +593,16 @@ mod tests {
         const INF: f64 = f64::INFINITY;
         #[rustfmt::skip]
         let table: &[(ScalarValue, ScalarType, u64)] = &[
-            // f64 -> i32: ±inf, NaN and out-of-range values.
-            (F64(INF), T::I32, 0xFFFF_FFFF),
-            (F64(-INF), T::I32, 0),
+            // f64 -> i32 saturates like f64 -> i64; NaN is 0.
+            (F64(INF), T::I32, 0x7FFF_FFFF),
+            (F64(-INF), T::I32, 0x8000_0000),
             (F64(f64::NAN), T::I32, 0),
-            (F64(3e9), T::I32, 0xB2D0_5E00),
-            (F64(-3e9), T::I32, 0x4D2F_A200),
-            (F64(1e19), T::I32, 0xFFFF_FFFF),
+            (F64(3e9), T::I32, 0x7FFF_FFFF),
+            (F64(-3e9), T::I32, 0x8000_0000),
+            (F64(1e19), T::I32, 0x7FFF_FFFF),
             (F64(-2.9), T::I32, 0xFFFF_FFFE),
-            (F32(f32::INFINITY), T::I32, 0xFFFF_FFFF),
+            (F32(f32::INFINITY), T::I32, 0x7FFF_FFFF),
+            (F32(f32::NEG_INFINITY), T::I32, 0x8000_0000),
             // f64 -> i64 saturates; NaN is 0; truncation is toward zero.
             (F64(INF), T::I64, 0x7FFF_FFFF_FFFF_FFFF),
             (F64(-INF), T::I64, 0x8000_0000_0000_0000),

@@ -88,7 +88,7 @@ impl Buffer {
     pub fn set(&mut self, i: usize, value: ScalarValue) {
         match self {
             Buffer::Bool(v) => v[i] = value.is_truthy(),
-            Buffer::I32(v) => v[i] = value.as_i64() as i32,
+            Buffer::I32(v) => v[i] = value.as_i32(),
             Buffer::I64(v) => v[i] = value.as_i64(),
             Buffer::F32(v) => v[i] = value.as_f64() as f32,
             Buffer::F64(v) => v[i] = value.as_f64(),
@@ -99,7 +99,7 @@ impl Buffer {
     pub fn push(&mut self, value: ScalarValue) {
         match self {
             Buffer::Bool(v) => v.push(value.is_truthy()),
-            Buffer::I32(v) => v.push(value.as_i64() as i32),
+            Buffer::I32(v) => v.push(value.as_i32()),
             Buffer::I64(v) => v.push(value.as_i64()),
             Buffer::F32(v) => v.push(value.as_f64() as f32),
             Buffer::F64(v) => v.push(value.as_f64()),
@@ -486,6 +486,24 @@ impl StructuredVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Writing into an `I32` column follows [`ScalarValue::cast`]: floats
+    /// saturate, NaN is 0.
+    #[test]
+    fn i32_column_writes_saturate_floats() {
+        use ScalarValue::{F32, F64, I32};
+        let inputs = [F64(f64::INFINITY), F64(-3e9), F32(f32::NAN), F64(3e9)];
+        let mut c = Column::empties(ScalarType::I32, 2);
+        c.set(0, inputs[0]);
+        c.set(1, inputs[1]);
+        c.push(Some(inputs[2]));
+        c.push(Some(inputs[3]));
+        for (i, v) in inputs.iter().enumerate() {
+            assert_eq!(c.get(i), Some(v.cast(ScalarType::I32)), "{v:?}");
+        }
+        let want = [i32::MAX, i32::MIN, 0, i32::MAX].map(|v| Some(I32(v)));
+        assert_eq!((0..4).map(|i| c.get(i)).collect::<Vec<_>>(), want);
+    }
 
     #[test]
     fn column_epsilon_roundtrip() {

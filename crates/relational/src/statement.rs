@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use voodoo_backend::{PlanProfile, PreparedPlan};
 use voodoo_compile::EventProfile;
-use voodoo_core::{Diagnostic, Pass, Program, Result};
+use voodoo_core::{Diagnostic, Pass, Program, Result, VoodooError};
 use voodoo_interp::ExecOutput;
 use voodoo_storage::{Catalog, CatalogSnapshot};
 use voodoo_tpch::queries::{Query, QueryResult};
@@ -258,14 +258,15 @@ impl Engine {
     }
 
     /// Static diagnostics for one statement: every program it lowers to
-    /// goes through the full [`voodoo_verify`] pass pipeline against the
-    /// current catalog snapshot, on the calling thread. Nothing is
-    /// prepared or executed — no backend work, no plan-cache entry, no
-    /// queue slot, and not a served statement in [`EngineMetrics`] — so a
-    /// serving loop has a free pre-admission check for "will this
-    /// reject?". An empty vector means the statement passed; a failure of
-    /// the walk itself (SQL parse or lowering, an unknown view or
-    /// backend) is reported as one [`Pass::Structure`] diagnostic.
+    /// goes through [`voodoo_verify::analyze`] against the current
+    /// catalog snapshot, on the calling thread, and its rejection list is
+    /// collected. Nothing is prepared or executed — no backend work, no
+    /// plan-cache entry, no queue slot, and not a served statement in
+    /// [`EngineMetrics`] — so a serving loop has a free pre-admission check
+    /// for "will this reject?". An empty vector means the statement
+    /// passed; a failure of the walk itself (SQL parse or lowering, an
+    /// unknown view or backend) is reported as one [`Pass::Structure`]
+    /// diagnostic.
     ///
     /// A view verifies the full-recompute program of each side of its
     /// definition and never refreshes.
@@ -277,10 +278,15 @@ impl Engine {
             .walk(
                 spec,
                 None,
-                Visit::Inspect(&mut |s| {
-                    diags.extend(voodoo_verify::diagnostics(s.program, s.catalog));
-                    Ok(())
-                }),
+                Visit::Inspect(
+                    &mut |s| match voodoo_verify::analyze(s.program, s.catalog) {
+                        Err(VoodooError::Rejected(found)) => {
+                            diags.extend(found);
+                            Ok(())
+                        }
+                        other => other.map(drop),
+                    },
+                ),
             )
             .into_result();
         if let Err(e) = walked {

@@ -1,13 +1,11 @@
-//! Effect analysis (pass 3): the exact tables a program reads and
-//! writes.
+//! Effect analysis: the exact tables a program reads and writes.
 //!
-//! Unlike [`Program::table_deps`] — which lists every `Load`/`Persist`
-//! name syntactically, dead or alive — the effect analysis first computes
-//! *liveness* (statements reachable from the returns or from a
-//! side-effecting `Persist`) and only then collects table names. The
-//! result is the exact set of tables whose state can influence (reads)
-//! or be influenced by (writes) an execution, which is what plan-cache
-//! freshness and view change capture must be keyed on.
+//! The analysis first computes *liveness* (statements reachable from the
+//! returns or from a side-effecting `Persist`) and only then collects
+//! table names, so a dead `Load` is not a read. The result is the exact
+//! set of tables whose state can influence (reads) or be influenced by
+//! (writes) an execution, which is what plan-cache freshness and view
+//! change capture must be keyed on.
 
 use voodoo_core::{Op, Program};
 
@@ -33,11 +31,6 @@ impl Effects {
         all.sort_unstable();
         all.dedup();
         all
-    }
-
-    /// Whether the program touches no persistent state at all.
-    pub fn is_pure(&self) -> bool {
-        self.reads.is_empty() && self.writes.is_empty()
     }
 }
 
@@ -111,9 +104,6 @@ mod tests {
         let fx = effects(&p);
         assert_eq!(fx.reads, vec!["used".to_string()]);
         assert!(fx.writes.is_empty());
-        // The syntactic heuristic over-approximates: it includes the dead
-        // load.
-        assert_eq!(p.table_deps(), vec!["dead", "used"]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! compilation target: because operators are stateless, deterministic and
 //! free of runtime control flow, every property that matters — shapes,
 //! table reads and writes, parallel safety — is derivable from the IR before
-//! anything runs. This crate centralizes that reasoning as a multi-pass
-//! analyzer every `Backend::prepare` runs before planning:
+//! anything runs. This crate centralizes that reasoning in one entry
+//! point, [`analyze`], which runs these passes in order:
 //!
 //! 1. **Structure** ([`voodoo_core::diag::check_structure`]) — SSA
 //!    def-before-use, return validity; collects every violation as a
@@ -13,20 +13,24 @@
 //! 2. **Shape** ([`voodoo_core::typecheck::infer`]) — key-path
 //!    resolution, operand type/length compatibility, fold control
 //!    attributes; errors are routed into the same diagnostics.
-//! 3. **Sentinel domain** ([`sentinel`]) — can a vector contain the
-//!    `i64::MIN`/`i64::MAX` identity values that masked `MIN`/`MAX`
-//!    lowerings reserve? Collisions are rejected at prepare, not
-//!    discovered as wrong answers.
-//! 4. **Effects** ([`mod@effects`]) — the *exact* table read/write sets
-//!    (liveness-aware, unlike the syntactic `Program::table_deps`),
-//!    which plan-cache freshness is keyed on.
-//! 5. **Parallel safety** ([`safety`]) — per-statement verdicts the
+//! 3. **Sentinel** ([`sentinel`]) — rejects a live masked `MIN`/`MAX`
+//!    fold whose data may equal the identity the lowering reserves, at
+//!    prepare, instead of returning a wrong answer.
+//! 4. **Parallel safety** ([`safety`]) — per-statement verdicts the
 //!    morsel executor consults instead of inlining per-kernel rules.
 //!
-//! The analyzer either rejects with [`VoodooError::Rejected`] carrying
-//! the full diagnostic list, or returns an [`Analysis`] whose facts the
-//! compiler and executor reuse (no second inference pass). Invariant:
-//! **no program executes unverified.**
+//! [`effects()`] (the exact, liveness-aware table read/write sets) is not
+//! one of these passes: it needs no catalog, and the plan cache runs it
+//! on every lookup to key freshness.
+//!
+//! [`analyze`] either rejects with [`VoodooError::Rejected`], carrying
+//! every finding of the first failing pass, or returns a [`Verified`]
+//! program. It is the only way to obtain one, and the compiler builds
+//! plans only from a [`Verified`], so **no program is planned
+//! unverified**. Each `Backend::prepare` analyzes a program once; the CPU
+//! backend analyzes a second time only when its CSE/DCE normalization
+//! rewrote the program, because the facts belong to the exact statement
+//! list they were derived from.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -38,31 +42,33 @@ pub mod sentinel;
 
 pub use effects::{effects, live_statements, Effects};
 pub use safety::{classify, ParallelSafety};
-pub use sentinel::{domains, SentinelDomain};
 
 use voodoo_core::diag::{check_structure, Diagnostic, Pass};
 use voodoo_core::typecheck::{infer, Shapes};
 use voodoo_core::{Program, Result, VoodooError};
 use voodoo_storage::Catalog;
 
-/// The combined result of all analyzer passes over one program.
-#[derive(Debug, Clone)]
-pub struct Analysis {
-    /// Inferred shape (schema, length, run metadata) per statement.
-    pub shapes: Shapes,
-    /// Exact table read and write sets.
-    pub effects: Effects,
-    /// Parallel-safety verdict per statement.
-    pub safety: Vec<ParallelSafety>,
-    /// Sentinel-domain fact per statement.
-    pub sentinels: Vec<SentinelDomain>,
-    /// Liveness per statement (reachable from a return or a `Persist`).
-    pub live: Vec<bool>,
+/// A program that passed every analyzer pass, with the facts the compiler
+/// plans from. Only [`analyze`] constructs one, and it borrows the exact
+/// program those facts describe.
+#[derive(Debug)]
+pub struct Verified<'p> {
+    program: &'p Program,
+    shapes: Shapes,
+    safety: Vec<ParallelSafety>,
+}
+
+impl<'p> Verified<'p> {
+    /// The verified program, its inferred shape per statement, and its
+    /// parallel-safety verdict per statement.
+    pub fn into_parts(self) -> (&'p Program, Shapes, Vec<ParallelSafety>) {
+        (self.program, self.shapes, self.safety)
+    }
 }
 
 /// Run every pass; reject with [`VoodooError::Rejected`] (carrying all
-/// findings of the failing pass) or return the full [`Analysis`].
-pub fn analyze(program: &Program, catalog: &Catalog) -> Result<Analysis> {
+/// findings of the failing pass) or return the [`Verified`] program.
+pub fn analyze<'p>(program: &'p Program, catalog: &Catalog) -> Result<Verified<'p>> {
     // Pass 1: structure. Later passes index freely into the statement
     // list, so nothing else runs until the SSA skeleton is sound.
     let structural = check_structure(program);
@@ -70,52 +76,21 @@ pub fn analyze(program: &Program, catalog: &Catalog) -> Result<Analysis> {
         return Err(VoodooError::Rejected(structural));
     }
     // Pass 2: shapes and types.
-    let shapes = match infer(program, catalog) {
-        Ok(s) => s,
-        Err(e) => {
-            return Err(VoodooError::Rejected(vec![Diagnostic::from_error(
-                Pass::Shape,
-                &e,
-            )]))
-        }
-    };
-    // Pass 2b: sentinel domains (restricted to live statements — dead
-    // code cannot corrupt a result).
-    let live = live_statements(program);
-    let sentinel_diags = sentinel::check(program, catalog, &live);
+    let shapes = infer(program, catalog)
+        .map_err(|e| VoodooError::Rejected(vec![Diagnostic::from_error(Pass::Shape, &e)]))?;
+    // Pass 3: sentinels, over live statements only — dead code cannot
+    // corrupt a result.
+    let sentinel_diags = sentinel::check(program, catalog, &live_statements(program));
     if !sentinel_diags.is_empty() {
         return Err(VoodooError::Rejected(sentinel_diags));
     }
-    let sentinels = domains(program, catalog);
-    // Passes 3 and 4 cannot fail; they produce facts for the planner.
-    let effects = effects(program);
+    // Pass 4 cannot fail; it produces facts for the planner.
     let safety = classify(program, &shapes);
-    Ok(Analysis {
+    Ok(Verified {
+        program,
         shapes,
-        effects,
         safety,
-        sentinels,
-        live,
     })
-}
-
-/// All diagnostics for a program, across every pass, without stopping at
-/// the first failing pass's rejection. Empty means the program is clean
-/// (it would pass [`analyze`]). This is the `Session::verify()` backbone.
-pub fn diagnostics(program: &Program, catalog: &Catalog) -> Vec<Diagnostic> {
-    let mut diags = check_structure(program);
-    if !diags.is_empty() {
-        // Shape inference indexes by statement order and is meaningless
-        // over a structurally broken program.
-        return diags;
-    }
-    if let Err(e) = infer(program, catalog) {
-        diags.push(Diagnostic::from_error(Pass::Shape, &e));
-        return diags;
-    }
-    let live = live_statements(program);
-    diags.extend(sentinel::check(program, catalog, &live));
-    diags
 }
 
 #[cfg(test)]
@@ -136,11 +111,9 @@ mod tests {
         let s = p.fold_sum_global(v);
         p.ret(s);
         let a = analyze(&p, &catalog()).expect("clean");
-        assert_eq!(a.effects.reads, vec!["t".to_string()]);
+        assert!(std::ptr::eq(a.program, &p));
         assert_eq!(a.safety.len(), p.len());
-        assert!(a.live.iter().all(|l| *l));
         assert_eq!(a.shapes.of(v).len, 4);
-        assert!(diagnostics(&p, &catalog()).is_empty());
     }
 
     #[test]
@@ -164,10 +137,14 @@ mod tests {
         let v = p.load("t");
         let bad = p.binary_kp(voodoo_core::BinOp::Add, v, ".missing", v, ".val", ".x");
         p.ret(bad);
-        let diags = diagnostics(&p, &catalog());
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].pass, Pass::Shape);
-        assert_eq!(diags[0].stmt, Some(bad.index()));
+        match analyze(&p, &catalog()) {
+            Err(VoodooError::Rejected(diags)) => {
+                assert_eq!(diags.len(), 1);
+                assert_eq!(diags[0].pass, Pass::Shape);
+                assert_eq!(diags[0].stmt, Some(bad.index()));
+            }
+            other => panic!("expected rejection, got {other:?}"),
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `Persist`) must be applied with a consistent view.
 
 use voodoo_core::typecheck::{fold_output_type, Shapes};
-use voodoo_core::{Op, Program, VRef};
+use voodoo_core::{Op, Program};
 
 /// The parallel-safety verdict for one statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,8 +64,7 @@ pub fn classify(program: &Program, shapes: &Shapes) -> Vec<ParallelSafety> {
     program
         .stmts()
         .iter()
-        .enumerate()
-        .map(|(i, stmt)| match &stmt.op {
+        .map(|stmt| match &stmt.op {
             Op::FoldAgg { agg, v, val_kp, .. } => {
                 let vt = shapes
                     .of(*v)
@@ -82,17 +81,9 @@ pub fn classify(program: &Program, shapes: &Shapes) -> Vec<ParallelSafety> {
             Op::Scatter { .. } | Op::Partition { .. } | Op::Persist { .. } => {
                 ParallelSafety::SerialApply
             }
-            _ => {
-                let _ = i;
-                ParallelSafety::MorselMergeable
-            }
+            _ => ParallelSafety::MorselMergeable,
         })
         .collect()
-}
-
-/// Verdict for one statement (helper over [`classify`]'s result).
-pub fn verdict(safety: &[ParallelSafety], v: VRef) -> ParallelSafety {
-    safety[v.index()]
 }
 
 #[cfg(test)]

@@ -1,53 +1,38 @@
-//! Sentinel-domain analysis (pass 2b): can a vector contain the
-//! `i64::MIN` / `i64::MAX` values that masked fold lowerings reserve as
-//! identities?
+//! Sentinel check (pass 3): may a masked fold's data contain the
+//! `i64::MIN` / `i64::MAX` value its lowering reserves as the identity?
 //!
 //! The relational layer lowers masked `MIN`/`MAX` aggregates with the
 //! `keep + (1-mask)*identity` idiom: masked-out slots are overwritten
 //! with the fold's identity (`i64::MAX` for `MIN`, `i64::MIN` for `MAX`)
 //! so they cannot win the fold. That is correct *only if the data itself
 //! never takes the identity value* — a genuine `i64::MAX` row would be
-//! indistinguishable from a masked-out one. This pass derives, from
-//! catalog column statistics, whether each statement's value domain may
-//! contain a sentinel, and rejects a masked fold whose input data may
-//! collide with its identity — at prepare time, instead of silently
-//! computing a wrong answer.
+//! indistinguishable from a masked-out one. This pass reads, from catalog
+//! column statistics, whether the columns a masked fold consumes may hold
+//! its identity, and rejects such a fold at prepare time instead of
+//! silently computing a wrong answer.
 //!
-//! The domain lattice is deliberately coarse (two booleans per
-//! statement, joined across attributes) and *propagating*: arithmetic is
-//! assumed to carry sentinels through but not create them (overflow that
-//! lands exactly on a sentinel is out of scope here — the CI debug run
-//! with `overflow-checks=on` owns wrap bugs). Comparisons, logical
-//! operators and position generators are sentinel-clean by construction.
+//! Arithmetic is assumed to carry sentinels through but not create them
+//! (overflow that lands exactly on a sentinel is out of scope here — the
+//! CI debug run with `overflow-checks=on` owns wrap bugs).
 
-use voodoo_core::{
-    AggKind, BinOp, Diagnostic, KeyPath, Op, Pass, Program, ScalarType, ScalarValue, VRef,
-};
+use voodoo_core::{AggKind, Diagnostic, KeyPath, Op, Pass, Program, ScalarType, ScalarValue, VRef};
 use voodoo_storage::Catalog;
 
-/// Whether a statement's values may contain the reserved sentinel values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SentinelDomain {
+/// Whether a column's values may contain the reserved sentinel values.
+#[derive(Clone, Copy)]
+struct SentinelDomain {
     /// May contain `i64::MIN` (the masked-`MAX` identity).
-    pub may_min: bool,
+    may_min: bool,
     /// May contain `i64::MAX` (the masked-`MIN` identity).
-    pub may_max: bool,
+    may_max: bool,
 }
 
 impl SentinelDomain {
     /// The clean domain: provably free of both sentinels.
-    pub const CLEAN: SentinelDomain = SentinelDomain {
+    const CLEAN: SentinelDomain = SentinelDomain {
         may_min: false,
         may_max: false,
     };
-
-    /// Lattice join (union of possibilities).
-    pub fn join(self, other: SentinelDomain) -> SentinelDomain {
-        SentinelDomain {
-            may_min: self.may_min || other.may_min,
-            may_max: self.may_max || other.may_max,
-        }
-    }
 }
 
 /// Sentinel possibilities of one column of a loaded table, addressed by
@@ -94,79 +79,6 @@ fn table_domain(catalog: &Catalog, name: &str) -> SentinelDomain {
         }
     }
     d
-}
-
-fn constant_domain(value: &ScalarValue) -> SentinelDomain {
-    match value {
-        ScalarValue::I64(v) => SentinelDomain {
-            may_min: *v == i64::MIN,
-            may_max: *v == i64::MAX,
-        },
-        _ => SentinelDomain::CLEAN,
-    }
-}
-
-/// Propagate sentinel domains through a structurally valid program.
-pub fn domains(program: &Program, catalog: &Catalog) -> Vec<SentinelDomain> {
-    let mut out: Vec<SentinelDomain> = Vec::with_capacity(program.len());
-    for stmt in program.stmts() {
-        let of = |v: &VRef| out[v.index()];
-        // A keypath-addressed read narrows a Load to the one column the
-        // consumer actually touches (per-column catalog stats); anything
-        // else sees the producer's whole-vector domain.
-        let col = |v: &VRef, kp: &KeyPath| -> SentinelDomain {
-            if let Op::Load { name } = &program.stmts()[v.index()].op {
-                column_domain(catalog, name, kp)
-            } else {
-                out[v.index()]
-            }
-        };
-        let d = match &stmt.op {
-            Op::Load { name } => table_domain(catalog, name),
-            Op::Constant { value, .. } => constant_domain(value),
-            Op::Binary {
-                op,
-                lhs,
-                lhs_kp,
-                rhs,
-                rhs_kp,
-                ..
-            } => match op {
-                // Comparisons and logical connectives produce 0/1.
-                BinOp::Greater
-                | BinOp::GreaterEquals
-                | BinOp::Less
-                | BinOp::LessEquals
-                | BinOp::Equals
-                | BinOp::NotEquals
-                | BinOp::LogicalAnd
-                | BinOp::LogicalOr => SentinelDomain::CLEAN,
-                // Arithmetic propagates (but is assumed not to create)
-                // sentinels.
-                _ => col(lhs, lhs_kp).join(col(rhs, rhs_kp)),
-            },
-            Op::Zip {
-                v1, kp1, v2, kp2, ..
-            } => col(v1, kp1).join(col(v2, kp2)),
-            Op::Upsert { v, src, kp, .. } => of(v).join(col(src, kp)),
-            Op::Project { v, kp, .. } => col(v, kp),
-            Op::Materialize { v, .. } | Op::Break { v, .. } | Op::Persist { v, .. } => of(v),
-            // Gather values come from the source; positions only choose.
-            Op::Gather { source, .. } => of(source),
-            Op::Scatter { values, .. } => of(values),
-            // Position generators are small non-negative integers.
-            Op::Partition { .. } | Op::FoldSelect { .. } | Op::Cross { .. } => {
-                SentinelDomain::CLEAN
-            }
-            Op::FoldAgg { v, val_kp, .. } | Op::FoldScan { v, val_kp, .. } => col(v, val_kp),
-            Op::Range { from, .. } => SentinelDomain {
-                may_min: *from == i64::MIN,
-                may_max: *from == i64::MAX,
-            },
-        };
-        out.push(d);
-    }
-    out
 }
 
 /// The transitive input cone of a statement (including itself).
@@ -380,22 +292,5 @@ mod tests {
         p.ret(m);
         let live = live_statements(&p);
         assert!(check(&p, &cat, &live).is_empty());
-    }
-
-    #[test]
-    fn domains_propagate_through_arithmetic_not_comparisons() {
-        let mut cat = Catalog::in_memory();
-        cat.put_i64_column("t", &[1, i64::MAX]);
-        let mut p = Program::new();
-        let v = p.load("t");
-        let a = p.add_const(v, 0i64);
-        let c = p.greater_const(v, 5i64);
-        p.ret(a);
-        p.ret(c);
-        let d = domains(&p, &cat);
-        assert!(d[v.index()].may_max);
-        assert!(d[a.index()].may_max);
-        assert!(!d[c.index()].may_max);
-        assert!(!d[v.index()].may_min);
     }
 }

@@ -125,8 +125,8 @@
 //! ## Static verification
 //!
 //! No program executes unverified: every `Backend::prepare` runs the
-//! [`verify`] analyzer (structure → shape/sentinel → effects →
-//! parallel-safety) and ill-formed programs come back as
+//! [`verify`] analyzer (structure → shape → sentinel → parallel-safety)
+//! and ill-formed programs come back as
 //! `VoodooError::Rejected` with pointed [`core::Diagnostic`]s instead
 //! of panics or wrong answers. [`relational::Session::verify`] (and
 //! `Statement::verify` / `ServerHandle::verify`) expose the same

@@ -3,8 +3,8 @@
 //!
 //! * The effect-analysis audit: on every paper query, SQL statement and
 //!   maintained view, the analyzer's exact read set is compared against
-//!   the syntactic `Program::table_deps` over-approximation, and the plan
-//!   cache is shown to key freshness on exactly the analyzer's read set.
+//!   the syntactic set of every `Load`/`Persist` name, and the plan cache
+//!   is shown to key freshness on exactly the analyzer's read set.
 //! * The no-panic harness: ill-formed programs are rejected with
 //!   structured diagnostics by every backend — never a panic.
 //! * Property tests: randomly generated well-formed programs pass the
@@ -43,12 +43,13 @@ fn small_catalog() -> Catalog {
 }
 
 // -----------------------------------------------------------------
-// Satellite: effect-analysis audit against `table_deps`
+// Satellite: effect-analysis audit against the syntactic table set
 // -----------------------------------------------------------------
 
 /// On every paper query program the analyzer's read set equals the
-/// syntactic `table_deps` over-approximation: the hand-built plans
-/// contain no dead `Load`s, so the two can only diverge on dead code.
+/// syntactic over-approximation (every `Load`/`Persist` name, dead or
+/// alive): the hand-built plans contain no dead `Load`s, so the two can
+/// only diverge on dead code.
 #[test]
 fn paper_query_effect_sets_match_table_deps() {
     let session = Session::tpch(0.002);
@@ -56,11 +57,20 @@ fn paper_query_effect_sets_match_table_deps() {
     for q in CPU_QUERIES {
         run_query(&cat, q, &mut |p, c| {
             let eff = verify::effects(p);
-            let deps: Vec<String> = p.table_deps().iter().map(|s| s.to_string()).collect();
+            let mut deps: Vec<&str> = p
+                .stmts()
+                .iter()
+                .filter_map(|s| match &s.op {
+                    Op::Load { name } | Op::Persist { name, .. } => Some(name.as_str()),
+                    _ => None,
+                })
+                .collect();
+            deps.sort_unstable();
+            deps.dedup();
             assert_eq!(
                 eff.tables(),
                 deps,
-                "{}: analyzer effect set diverges from table_deps",
+                "{}: analyzer effect set diverges from the syntactic set",
                 q.name()
             );
             // Every read resolves in the catalog the program runs against.
@@ -260,7 +270,9 @@ fn no_ill_formed_program_panics_any_backend() {
 /// Run `p` on every backend, assert they agree, and return the `.val`
 /// slots of each return (ε as `None`).
 fn returns_on_every_backend(p: &Program, cat: &Catalog) -> Vec<Vec<Option<i64>>> {
-    assert_eq!(verify::diagnostics(p, cat), vec![], "well-formed\n{p}");
+    if let Err(e) = verify::analyze(p, cat) {
+        panic!("well-formed: {e}\n{p}");
+    }
     let mut outputs = Vec::new();
     for (name, b) in backends() {
         let out = b
@@ -435,8 +447,9 @@ fn random_programs_verify_and_agree_across_backends() {
     for case in 0..48 {
         let p = gen_program(&mut rng);
         drawn.extend(p.stmts().iter().map(|s| s.op.name()));
-        let diags = verify::diagnostics(&p, &cat);
-        assert_eq!(diags, vec![], "case {case}: generator must be well-formed");
+        if let Err(e) = verify::analyze(&p, &cat) {
+            panic!("case {case}: generator must be well-formed: {e}");
+        }
         let mut outputs = Vec::new();
         for (name, b) in backends() {
             let out = b
@@ -528,7 +541,10 @@ fn random_mutations_are_rejected_with_pointed_diagnostics() {
             // The op shape had no rewritable input slot; skip the case.
             continue;
         }
-        let diags = verify::diagnostics(&mutated, &cat);
+        let diags = match verify::analyze(&mutated, &cat) {
+            Err(VoodooError::Rejected(diags)) => diags,
+            other => panic!("case {case}: mutation must be diagnosed: {other:?}"),
+        };
         assert!(!diags.is_empty(), "case {case}: mutation must be diagnosed");
         assert!(
             diags.iter().any(|d| d.stmt == Some(at)),
