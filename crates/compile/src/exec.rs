@@ -798,6 +798,12 @@ impl Executor {
         let mut accs: Vec<Option<ScalarValue>> = vec![None; folds.len()];
         let mut last_pos: Vec<i64> = vec![i64::MIN / 2; folds.len()];
         let mut posbuf: Vec<usize> = vec![0; chunk];
+        // Each fold's source, borrowed once per extent: loop 2 touches no
+        // refcount that the other morsels share.
+        let fold_srcs: Vec<&MatVec> = folds
+            .iter()
+            .map(|f| sources[f.src.index()].as_deref().expect("vs source"))
+            .collect();
         for c0 in extent.clone().step_by(chunk) {
             let c1 = (c0 + chunk).min(extent.end);
             // Loop 1: emit qualifying positions into the chunk-local
@@ -834,8 +840,7 @@ impl Executor {
             }
             // Loop 2: resolve positions and accumulate.
             for &p in &posbuf[..count] {
-                for (fi, f) in folds.iter().enumerate() {
-                    let src = sources[f.src.index()].as_ref().expect("vs source").clone();
+                for (fi, (f, src)) in folds.iter().zip(&fold_srcs).enumerate() {
                     // A position past the source's end gathers ε, as in
                     // the interpreter.
                     if p >= src.len() {

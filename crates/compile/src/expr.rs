@@ -221,7 +221,11 @@ impl Expr {
                 width,
                 broadcast,
             } => {
-                let mv = env.sources[*src as usize].as_ref()?.clone();
+                // Borrow through a copy of the slice reference: the source
+                // outlives `env`'s mutable use, and no refcount shared by
+                // every morsel is touched per element.
+                let sources = env.sources;
+                let mv = sources[*src as usize].as_deref()?;
                 let idx = if *broadcast { 0 } else { i };
                 env.count_read(*width as usize, true);
                 mv.get(*col as usize, idx)
@@ -239,7 +243,8 @@ impl Expr {
                 if p < 0 || p as usize >= *src_len {
                     return None; // out of bounds → ε (Table 2)
                 }
-                let mv = env.sources[*src as usize].as_ref()?.clone();
+                let sources = env.sources;
+                let mv = sources[*src as usize].as_deref()?;
                 if *sequential {
                     env.count_read(*width as usize, true);
                 } else {

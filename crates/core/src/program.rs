@@ -119,6 +119,14 @@ impl Program {
         if self.stmts.is_empty() || self.returns.is_empty() {
             return Err(VoodooError::EmptyProgram);
         }
+        self.check_references()
+    }
+
+    /// The reference half of [`Program::validate`]: every input names an
+    /// earlier statement and every return an existing one. Passes that
+    /// index per-statement tables by input (the rewrites in
+    /// [`crate::transform`]) check this first instead of panicking.
+    pub(crate) fn check_references(&self) -> Result<()> {
         for (i, stmt) in self.stmts.iter().enumerate() {
             for input in stmt.op.inputs() {
                 if input.index() >= i {

@@ -60,8 +60,12 @@ impl RewriteStats {
 /// (after input remapping) collapse to the first occurrence. `Persist` is
 /// never merged (side effect); everything else in the algebra is pure and
 /// deterministic (§2), so equal operators over equal inputs produce equal
-/// vectors.
+/// vectors. A program with a forward or out-of-range reference comes back
+/// unchanged.
 pub fn cse(program: &Program) -> (Program, RewriteStats) {
+    if program.check_references().is_err() {
+        return unchanged(program);
+    }
     let mut out = Program::new();
     // Old statement index → new VRef.
     let mut remap: Vec<VRef> = Vec::with_capacity(program.len());
@@ -103,8 +107,12 @@ pub fn cse(program: &Program) -> (Program, RewriteStats) {
 
 /// Dead-code elimination: statements not reachable from a return value or
 /// a `Persist` are dropped (a frontend exploring tuning variants leaves
-/// such residue behind).
+/// such residue behind). A program with a forward or out-of-range
+/// reference comes back unchanged.
 pub fn dce(program: &Program) -> (Program, RewriteStats) {
+    if program.check_references().is_err() {
+        return unchanged(program);
+    }
     let n = program.len();
     let mut live = vec![false; n];
     let mut stack: Vec<VRef> = program.returns().to_vec();
@@ -151,7 +159,11 @@ pub fn dce(program: &Program) -> (Program, RewriteStats) {
 }
 
 /// The normalization pipeline: CSE to expose sharing, then DCE to drop
-/// residue. Idempotent: a second application changes nothing.
+/// residue. Idempotent: a second application changes nothing. A
+/// structurally broken program (a forward or out-of-range reference, which
+/// [`Program::validate`] rejects) comes back unchanged with
+/// [`RewriteStats::removed`] 0, so callers may optimize before or without
+/// verifying.
 pub fn optimize(program: &Program) -> (Program, RewriteStats) {
     let (p1, s1) = cse(program);
     let (p2, s2) = dce(&p1);
@@ -162,6 +174,18 @@ pub fn optimize(program: &Program) -> (Program, RewriteStats) {
         dropped: s2.dropped,
     };
     (p2, stats)
+}
+
+/// The identity rewrite, for programs the passes cannot index safely.
+fn unchanged(program: &Program) -> (Program, RewriteStats) {
+    let n = program.len();
+    let stats = RewriteStats {
+        before: n,
+        after: n,
+        merged: 0,
+        dropped: 0,
+    };
+    (program.clone(), stats)
 }
 
 fn copy_label(out: &mut Program, nv: VRef, stmt: &Statement) {
@@ -281,5 +305,49 @@ mod tests {
         let (q, stats) = optimize(&p);
         assert_eq!(q.len(), 0);
         assert_eq!(stats.removed(), 0);
+    }
+
+    /// A broken program comes back as it went in, from every pass.
+    fn assert_unchanged(p: &Program) {
+        assert!(p.validate().is_err(), "the fixture must be broken");
+        for (name, pass) in [
+            ("cse", cse as fn(&Program) -> (Program, RewriteStats)),
+            ("dce", dce),
+            ("optimize", optimize),
+        ] {
+            let (q, stats) = pass(p);
+            assert_eq!(&q, p, "{name} rewrote a broken program");
+            assert_eq!(stats.removed(), 0, "{name}: {stats:?}");
+            assert_eq!((stats.merged, stats.dropped), (0, 0), "{name}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn forward_reference_passes_through_unchanged() {
+        let mut p = Program::new();
+        // Statement 0 reads statement 1, which comes after it.
+        p.push(Op::Project {
+            out: KeyPath::val(),
+            v: VRef(1),
+            kp: KeyPath::val(),
+        });
+        let v = p.load("t");
+        let a1 = p.add_const(v, 1i64);
+        let a2 = p.add_const(v, 1i64); // would merge in a valid program
+        let s = p.add(a1, a2);
+        p.ret(s);
+        assert_unchanged(&p);
+    }
+
+    #[test]
+    fn out_of_range_return_passes_through_unchanged() {
+        let mut p = Program::new();
+        let v = p.load("t");
+        let a1 = p.add_const(v, 1i64);
+        let a2 = p.add_const(v, 1i64); // would merge in a valid program
+        let s = p.add(a1, a2);
+        p.ret(s);
+        p.ret(VRef(p.len() as u32 + 3));
+        assert_unchanged(&p);
     }
 }

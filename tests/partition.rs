@@ -94,14 +94,17 @@ fn tpch_and_sql_bit_identical_across_partition_counts() {
 /// Proptest-style sweep: every P in 1..=17 (beyond any morsel-count the
 /// fixed set covers, including P ≫ natural chunk counts) over raw
 /// algebra programs that hit each partition-parallel kernel — global
-/// fold, selection emission, vectorized-selection, grouped aggregation
-/// and the scatter build side.
+/// fold, selection emission, vectorized-selection (with a fold over a
+/// source shorter than the selection's domain), grouped aggregation, the
+/// scatter build side and random-position gathers.
 #[test]
 fn any_partition_count_matches_serial_on_kernel_programs() {
     let mut cat = Catalog::in_memory();
     // Data with duplicates, negatives, and a non-multiple-of-P length.
     let vals: Vec<i64> = (0..10_007).map(|i| (i * 37 + 11) % 1000 - 500).collect();
     cat.put_i64_column("t", &vals);
+    // A short source: gathers from it read ε past row 100 in every morsel.
+    cat.put_i64_column("s", &(0..100).map(|i| i * 3 - 7).collect::<Vec<_>>());
     let session = Session::new(cat);
 
     let mut programs: Vec<(&str, Program)> = Vec::new();
@@ -135,6 +138,42 @@ fn any_partition_count_matches_serial_on_kernel_programs() {
             voodoo::algos::FoldStrategy::Partitions { size: 64 },
         ),
     ));
+
+    // Chunked selection over `t` fused into one vectorized selection with
+    // two integer folds: one gathers from `t`, one from the short `s`.
+    let mut p = Program::new();
+    let t = p.load("t");
+    let s = p.load("s");
+    let pred = p.greater_const(t, 0);
+    let ids = p.range_like(0, pred, 1);
+    let chunk_ids = p.div_const(ids, 128);
+    let sel = p.fold_select(chunk_ids, pred);
+    let full = p.gather(t, sel);
+    let short = p.gather(s, sel);
+    let full_sum = p.fold_sum_global(full);
+    let short_max = p.fold_max_global(short);
+    p.ret(full_sum);
+    p.ret(short_max);
+    let plan = session.program(p.clone()).explain().expect("explain");
+    assert!(
+        plan.contains("vectorized selection") && plan.contains("acc1 +="),
+        "both gathers fuse into one vectorized selection:\n{plan}"
+    );
+    programs.push(("vec_select_full_and_short_folds", p));
+    // Random-position gathers (fused `ColAt` reads) feeding a write: the
+    // positions hop across `t`, and past the end of `s`.
+    let mut p = Program::new();
+    let t = p.load("t");
+    let s = p.load("s");
+    let ids = p.range_like(0, t, 1);
+    let hops = p.mul_const(ids, 7919);
+    let pos = p.mod_const(hops, 10_007);
+    let from_t = p.gather(t, pos);
+    let shifted = p.add_const(from_t, 1);
+    let from_s = p.gather(s, pos);
+    p.ret(shifted);
+    p.ret(from_s);
+    programs.push(("random_gather_write", p));
 
     for (label, program) in &programs {
         let serial = session
